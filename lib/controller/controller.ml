@@ -3,7 +3,6 @@ module Table = Eden_enclave.Table
 module Stage = Eden_stage.Stage
 module Time = Eden_base.Time
 module Rng = Eden_base.Rng
-module Pattern = Eden_base.Class_name.Pattern
 module Tel = Eden_telemetry
 
 type retry_policy = {
@@ -150,224 +149,9 @@ let send_with_retry t ch ~gen op : (int64, push_error) result =
   go 1
 
 (* ------------------------------------------------------------------ *)
-(* Broadcast pushes.
-
-   A push is accepted or refused at the *desired-state* level:
-
-   - if any enclave [`Rejected] the op (a permanent refusal — e.g. the
-     bytecode fails verification there), the change is abandoned: it is
-     not recorded in the desired state and is undone, failure-tolerantly,
-     on every enclave that did apply it;
-   - transient failures ([`Unreachable] after retries) do NOT abandon the
-     change: the desired state is committed, the unreachable enclaves are
-     marked divergent, and {!reconcile} converges them later.  This is
-     the paper's consistency model — enclaves forward on stale policy
-     until the controller reaches them (§2.2), rather than the fleet
-     being held hostage by its least reachable member. *)
-
-let hosts_to_string hosts = String.concat "," (List.map string_of_int hosts)
-
-(* Failure-tolerant undo: try [op] on every channel in [applied]; a
-   failing undo must not abort the remaining undos.  Returns the hosts
-   left divergent (marked as such, so reconciliation picks them up). *)
-let undo_on t applied op =
-  List.filter_map
-    (fun ch ->
-      match send_with_retry t ch ~gen:(Desired.generation t.desired) op with
-      | Ok _ -> None
-      | Error _ ->
-        Channel.mark_divergent ch;
-        Some (Channel.host ch))
-    applied
-
-let broadcast t ~gen op =
-  let rec go applied unreachable = function
-    | [] -> `Applied (List.rev applied, List.rev unreachable)
-    | ch :: rest -> (
-      match send_with_retry t ch ~gen op with
-      | Ok _ -> go (ch :: applied) unreachable rest
-      | Error (`Unreachable _) ->
-        Channel.mark_divergent ch;
-        go applied (ch :: unreachable) rest
-      | Error (`Rejected msg) -> `Rejected (Channel.host ch, msg, List.rev applied))
-  in
-  go [] [] (channels t)
-
-(* After a change commits, advance the applied enclaves' watermarks to
-   the new generation.  [Commit_generation] cannot be rejected; a channel
-   it cannot reach is left divergent for reconciliation. *)
-let commit_watermark t chans =
-  let gen = Desired.generation t.desired in
-  List.iter
-    (fun ch ->
-      match send_with_retry t ch ~gen Channel.Commit_generation with
-      | Ok _ -> ()
-      | Error _ -> Channel.mark_divergent ch)
-    chans
-
-(* Shared push driver, two-phase so that no enclave ever acknowledges a
-   generation that did not commit: broadcast [op] at the *current*
-   generation; on acceptance run [commit] (record the change in the
-   desired state and bump the generation) and only then advance the
-   watermarks; on rejection undo with [undo_op] everywhere the op landed
-   — the aborted change never touched any watermark, preserving
-   acked <= desired. *)
-let push t op ~undo_op ~commit =
-  let gen = Desired.generation t.desired in
-  match broadcast t ~gen op with
-  | `Applied (applied, _) ->
-    commit ();
-    Desired.bump t.desired;
-    commit_watermark t applied;
-    Ok ()
-  | `Rejected (host, msg, applied) -> (
-    match undo_on t applied undo_op with
-    | [] -> Error (Printf.sprintf "host %d rejected %s: %s" host (Channel.op_to_string op) msg)
-    | divergent ->
-      Error
-        (Printf.sprintf
-           "host %d rejected %s: %s; rollback failed on hosts [%s], left divergent pending \
-            reconciliation"
-           host (Channel.op_to_string op) msg (hosts_to_string divergent)))
-
-let install_action_everywhere t spec =
-  if Desired.has_action t.desired spec.Enclave.i_name then
-    Error (Printf.sprintf "action %S is already in the desired state" spec.Enclave.i_name)
-  else
-    push t
-      (Channel.Install_action spec)
-      ~undo_op:(Channel.Remove_action spec.Enclave.i_name)
-      ~commit:(fun () ->
-        match Desired.add_action t.desired spec with Ok () -> () | Error _ -> assert false)
-
-let remove_action_everywhere t name =
-  if not (Desired.has_action t.desired name) then
-    Error (Printf.sprintf "action %S is not in the desired state" name)
-  else begin
-    (* Removal is idempotent at the enclave, so there is no rejection to
-       roll back from: commit the desired change, push best-effort, and
-       let reconciliation catch stragglers. *)
-    ignore (Desired.remove_action t.desired name);
-    Desired.bump t.desired;
-    let gen = Desired.generation t.desired in
-    ignore (broadcast t ~gen (Channel.Remove_action name));
-    Ok ()
-  end
-
-let add_table_everywhere t =
-  let id = Desired.tables t.desired in
-  match
-    push t Channel.Add_table
-      ~undo_op:Channel.Commit_generation (* tables cannot be removed; a spare table is harmless *)
-      ~commit:(fun () -> ignore (Desired.add_table t.desired))
-  with
-  | Ok () -> Ok id
-  | Error msg -> Error msg
-
-let add_rule_everywhere t ?(table = 0) ~pattern ~action () =
-  if not (Desired.has_action t.desired action) then
-    Error (Printf.sprintf "action %S is not in the desired state" action)
-  else if table < 0 || table >= Desired.tables t.desired then
-    Error (Printf.sprintf "table %d is not in the desired state" table)
-  else begin
-    (* Undo needs per-enclave rule ids, which the generic driver does not
-       carry, so rules get their own loop (same two-phase watermark
-       protocol as [push]). *)
-    let gen = Desired.generation t.desired in
-    let rec go applied = function
-      | [] -> (
-        match Desired.add_rule t.desired ~table ~pattern ~action with
-        | Ok _ ->
-          Desired.bump t.desired;
-          commit_watermark t (List.rev_map fst applied);
-          Ok ()
-        | Error _ -> assert false)
-      | ch :: rest -> (
-        match send_with_retry t ch ~gen (Channel.Add_rule { table; pattern; action }) with
-        | Ok rule_id -> go ((ch, Int64.to_int rule_id) :: applied) rest
-        | Error (`Unreachable _) ->
-          Channel.mark_divergent ch;
-          go applied rest
-        | Error (`Rejected msg) ->
-          let divergent =
-            List.filter_map
-              (fun (ch, rule_id) ->
-                match
-                  send_with_retry t ch ~gen:(Desired.generation t.desired)
-                    (Channel.Remove_rule { table; rule_id })
-                with
-                | Ok _ -> None
-                | Error _ ->
-                  Channel.mark_divergent ch;
-                  Some (Channel.host ch))
-              applied
-          in
-          Error
-            (match divergent with
-            | [] -> Printf.sprintf "host %d rejected add_rule: %s" (Channel.host ch) msg
-            | hs ->
-              Printf.sprintf
-                "host %d rejected add_rule: %s; rollback failed on hosts [%s], left divergent \
-                 pending reconciliation"
-                (Channel.host ch) msg (hosts_to_string hs)))
-    in
-    go [] (channels t)
-  end
-
-let set_global_everywhere t ~action name v =
-  if not (Desired.has_action t.desired action) then
-    Error (Printf.sprintf "action %S is not in the desired state" action)
-  else begin
-    let undo_op =
-      match Desired.global t.desired ~action name with
-      | Some prev -> Channel.Set_global { action; name; value = prev }
-      | None -> Channel.Commit_generation  (* nothing to restore; scalars default to 0 *)
-    in
-    push t
-      (Channel.Set_global { action; name; value = v })
-      ~undo_op
-      ~commit:(fun () -> ignore (Desired.set_global t.desired ~action name v))
-  end
-
-let set_global_array_everywhere t ~action name arr =
-  if not (Desired.has_action t.desired action) then
-    Error (Printf.sprintf "action %S is not in the desired state" action)
-  else begin
-    let undo_op =
-      match Desired.global_array t.desired ~action name with
-      | Some prev -> Channel.Set_global_array { action; name; value = prev }
-      | None -> Channel.Commit_generation
-    in
-    push t
-      (Channel.Set_global_array { action; name; value = arr })
-      ~undo_op
-      ~commit:(fun () -> ignore (Desired.set_global_array t.desired ~action name arr))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Stage programming (stages are in-process; the fault model covers the
-   controller→enclave path, which is the one the paper's consistency
-   story depends on). *)
-
-let program_stage t ~stage ~ruleset ~rules =
-  match find_stage t stage with
-  | None -> Error (Printf.sprintf "stage %S not registered" stage)
-  | Some s ->
-    let rec go = function
-      | [] ->
-        Desired.bump t.desired;
-        Ok ()
-      | (classifier, class_name, metadata_fields) :: rest -> (
-        match
-          Stage.Api.create_stage_rule s ~ruleset ~classifier ~class_name ~metadata_fields
-        with
-        | Ok _ -> go rest
-        | Error _ as err -> Result.map (fun _ -> ()) err)
-    in
-    go rules
-
-(* ------------------------------------------------------------------ *)
-(* Anti-entropy reconciliation *)
+(* Anti-entropy reconciliation: the one path that moves a host back to
+   the desired state, whether it drifted (restart, partition, lost
+   push) or applied a change that was then refused elsewhere. *)
 
 type drift = {
   df_missing_actions : string list;
@@ -385,29 +169,18 @@ let drift_in_sync d =
   && d.df_extra_rules = [] && d.df_stale_globals = [] && d.df_stale_arrays = []
   && d.df_desired_generation = d.df_acked_generation
 
-let spec_key (s : Enclave.install_spec) =
-  let impl =
-    match s.Enclave.i_impl with
-    | Enclave.Interpreted p -> "interpreted:" ^ p.Eden_bytecode.Program.name
-    | Enclave.Compiled p -> "compiled:" ^ p.Eden_bytecode.Program.name
-    | Enclave.Native _ -> "native"
-  in
-  (s.Enclave.i_name, impl, List.sort compare s.Enclave.i_msg_sources)
-
-let rule_key table pattern action = (table, Pattern.to_string pattern, action)
-
-(* Multiset difference of [xs] over [ys] by [key]: every occurrence in
-   [xs] not matched one-for-one by an occurrence in [ys]. *)
-let multiset_diff key xs ys =
+(* Multiset difference of [xs] over [ys]: every occurrence in [xs] not
+   matched one-for-one by an occurrence in [ys] with the same key. *)
+let multiset_diff kx ky xs ys =
   let remaining = Hashtbl.create 16 in
   List.iter
     (fun y ->
-      let k = key y in
+      let k = ky y in
       Hashtbl.replace remaining k (1 + Option.value ~default:0 (Hashtbl.find_opt remaining k)))
     ys;
   List.filter
     (fun x ->
-      let k = key x in
+      let k = kx x in
       match Hashtbl.find_opt remaining k with
       | Some n when n > 0 ->
         Hashtbl.replace remaining k (n - 1);
@@ -417,74 +190,40 @@ let multiset_diff key xs ys =
 
 let diff_against_desired t (sn : Enclave.snapshot) ~acked =
   let d = t.desired in
-  let desired_specs = Desired.actions d in
-  let actual_keys = List.map spec_key sn.Enclave.sn_actions in
-  let desired_keys = List.map spec_key desired_specs in
-  let missing_actions =
-    List.filter_map
-      (fun s -> if List.mem (spec_key s) actual_keys then None else Some s.Enclave.i_name)
-      desired_specs
+  let absent_from specs =
+    let keys = List.map Enclave.action_key specs in
+    fun s -> not (List.mem (Enclave.action_key s) keys)
   in
-  let extra_actions =
-    List.filter_map
-      (fun s -> if List.mem (spec_key s) desired_keys then None else Some s.Enclave.i_name)
-      sn.Enclave.sn_actions
-  in
+  let names = List.map (fun s -> s.Enclave.i_name) in
   let actual_rules =
-    List.concat_map
-      (fun (table, rs) ->
-        List.map (fun (r : Table.rule) -> (table, r.Table.rule_id, r.Table.pattern, r.Table.action)) rs)
-      sn.Enclave.sn_rules
+    List.concat_map (fun (table, rs) -> List.map (fun r -> (table, r)) rs) sn.Enclave.sn_rules
   in
-  let desired_rules = Desired.rules d in
-  let missing_rules =
-    multiset_diff
-      (fun (r : Desired.rule) -> rule_key r.dr_table r.dr_pattern r.dr_action)
-      desired_rules
-      (List.map
-         (fun (tb, _, p, a) -> { Desired.dr_id = 0; dr_table = tb; dr_pattern = p; dr_action = a })
-         actual_rules)
+  let desired_key (r : Desired.rule) =
+    (r.dr_table, Enclave.rule_key r.dr_pattern r.dr_action)
   in
-  let extra_rules =
-    multiset_diff
-      (fun (tb, _, p, a) -> rule_key tb p a)
-      actual_rules
-      (List.map
-         (fun (r : Desired.rule) -> (r.dr_table, 0, r.dr_pattern, r.dr_action))
-         desired_rules)
-    |> List.map (fun (tb, id, _, _) -> (tb, id))
+  let actual_key (table, (r : Table.rule)) =
+    (table, Enclave.rule_key r.Table.pattern r.Table.action)
   in
-  let actual_globals action =
-    match List.assoc_opt action sn.Enclave.sn_globals with Some bs -> bs | None -> []
-  in
-  let actual_arrays action =
-    match List.assoc_opt action sn.Enclave.sn_arrays with Some bs -> bs | None -> []
-  in
-  let stale_globals =
+  let stale actual bindings_of =
     List.concat_map
       (fun name ->
+        let have = Option.value ~default:[] (List.assoc_opt name actual) in
         List.filter_map
-          (fun (k, v) ->
-            if List.assoc_opt k (actual_globals name) = Some v then None else Some (name, k))
-          (Desired.globals_of d name))
-      (Desired.action_names d)
-  in
-  let stale_arrays =
-    List.concat_map
-      (fun name ->
-        List.filter_map
-          (fun (k, v) ->
-            if List.assoc_opt k (actual_arrays name) = Some v then None else Some (name, k))
-          (Desired.arrays_of d name))
+          (fun (k, v) -> if List.assoc_opt k have = Some v then None else Some (name, k))
+          (bindings_of d name))
       (Desired.action_names d)
   in
   {
-    df_missing_actions = missing_actions;
-    df_extra_actions = extra_actions;
-    df_missing_rules = missing_rules;
-    df_extra_rules = extra_rules;
-    df_stale_globals = stale_globals;
-    df_stale_arrays = stale_arrays;
+    df_missing_actions =
+      names (List.filter (absent_from sn.Enclave.sn_actions) (Desired.actions d));
+    df_extra_actions =
+      names (List.filter (absent_from (Desired.actions d)) sn.Enclave.sn_actions);
+    df_missing_rules = multiset_diff desired_key actual_key (Desired.rules d) actual_rules;
+    df_extra_rules =
+      multiset_diff actual_key desired_key actual_rules (Desired.rules d)
+      |> List.map (fun (table, (r : Table.rule)) -> (table, r.Table.rule_id));
+    df_stale_globals = stale sn.Enclave.sn_globals Desired.globals_of;
+    df_stale_arrays = stale sn.Enclave.sn_arrays Desired.arrays_of;
     df_desired_generation = Desired.generation d;
     df_acked_generation = acked;
   }
@@ -511,18 +250,53 @@ let reconcile_outcome_to_string = function
   | Unreachable msg -> "unreachable: " ^ msg
   | Repair_failed msg -> "repair failed: " ^ msg
 
-(* One anti-entropy round for one enclave: pull its configuration and
-   generation watermark, diff against desired, replay the delta, commit
-   the generation.  Repair order matters: extra rules go before extra
+(* The ops that take an enclave with configuration [sn] and [drift] to
+   the desired state.  Order matters: extra rules go before extra
    actions (removing an action drops its rules at the enclave), missing
    actions before their state and rules (the enclave refuses rules and
    state for unknown actions — which is also why a packet can never
    match a half-installed action: the rule that would route to it cannot
-   exist before the install has fully succeeded). *)
+   exist before the install has fully succeeded).  Spare tables at the
+   enclave are harmless (empty tables match nothing), so tables are only
+   ever added. *)
+let repair_ops d (sn : Enclave.snapshot) drift =
+  let desired_state lookup mk =
+    List.filter_map (fun (action, name) -> Option.map (mk action name) (lookup d ~action name))
+  in
+  List.concat
+    [
+      List.map
+        (fun (table, rule_id) -> Channel.Remove_rule { table; rule_id })
+        drift.df_extra_rules;
+      List.map (fun name -> Channel.Remove_action name) drift.df_extra_actions;
+      List.init
+        (max 0 (Desired.tables d - List.length sn.Enclave.sn_rules))
+        (fun _ -> Channel.Add_table);
+      List.filter_map
+        (fun spec ->
+          if List.mem spec.Enclave.i_name drift.df_missing_actions then
+            Some (Channel.Install_action spec)
+          else None)
+        (Desired.actions d);
+      desired_state Desired.global
+        (fun action name value -> Channel.Set_global { action; name; value })
+        drift.df_stale_globals;
+      desired_state Desired.global_array
+        (fun action name value -> Channel.Set_global_array { action; name; value })
+        drift.df_stale_arrays;
+      List.map
+        (fun (r : Desired.rule) ->
+          Channel.Add_rule { table = r.dr_table; pattern = r.dr_pattern; action = r.dr_action })
+        drift.df_missing_rules;
+      [ Channel.Commit_generation ];
+    ]
+
+(* One anti-entropy round for one enclave: pull its configuration and
+   generation watermark, diff against desired, replay the delta, commit
+   the generation, and verify by re-pulling. *)
 let reconcile_enclave t ch =
   Tel.Counter.inc t.cm_reconcile_rounds;
-  let d = t.desired in
-  let gen = Desired.generation d in
+  let gen = Desired.generation t.desired in
   match Channel.pull_state ch with
   | Error e -> Unreachable (Channel.error_to_string e)
   | Ok (sn, acked) -> (
@@ -531,75 +305,17 @@ let reconcile_enclave t ch =
       Channel.clear_divergent ch;
       In_sync
     end
-    else begin
-      let ops = ref 0 in
-      let step op =
-        incr ops;
-        match send_with_retry t ch ~gen op with
-        | Ok _ -> Ok ()
-        | Error (`Rejected msg) -> Error (Channel.op_to_string op ^ ": rejected: " ^ msg)
-        | Error (`Unreachable msg) -> Error (Channel.op_to_string op ^ ": " ^ msg)
-      in
-      let ( let* ) = Result.bind in
-      let rec each f = function
+    else
+      let ops = repair_ops t.desired sn drift in
+      let rec replay = function
         | [] -> Ok ()
-        | x :: rest ->
-          let* () = f x in
-          each f rest
+        | op :: rest -> (
+          match send_with_retry t ch ~gen op with
+          | Ok _ -> replay rest
+          | Error (`Rejected msg) -> Error (Channel.op_to_string op ^ ": rejected: " ^ msg)
+          | Error (`Unreachable msg) -> Error (Channel.op_to_string op ^ ": " ^ msg))
       in
-      let specs_by_name = List.map (fun s -> (s.Enclave.i_name, s)) (Desired.actions d) in
-      let repair =
-        let* () =
-          each (fun (table, rule_id) -> step (Channel.Remove_rule { table; rule_id }))
-            drift.df_extra_rules
-        in
-        let* () =
-          each (fun name -> step (Channel.Remove_action name)) drift.df_extra_actions
-        in
-        let* () =
-          (* Bring the table count up; spare tables at the enclave are
-             harmless (empty tables match nothing). *)
-          let have = List.length sn.Enclave.sn_rules in
-          let want = Desired.tables d in
-          let rec mk n = if n <= 0 then Ok () else
-            let* () = step Channel.Add_table in
-            mk (n - 1)
-          in
-          mk (want - have)
-        in
-        let* () =
-          each
-            (fun name ->
-              match List.assoc_opt name specs_by_name with
-              | Some spec -> step (Channel.Install_action spec)
-              | None -> Ok ())
-            drift.df_missing_actions
-        in
-        let* () =
-          each
-            (fun (action, name) ->
-              match Desired.global d ~action name with
-              | Some value -> step (Channel.Set_global { action; name; value })
-              | None -> Ok ())
-            drift.df_stale_globals
-        in
-        let* () =
-          each
-            (fun (action, name) ->
-              match Desired.global_array d ~action name with
-              | Some value -> step (Channel.Set_global_array { action; name; value })
-              | None -> Ok ())
-            drift.df_stale_arrays
-        in
-        let* () =
-          each
-            (fun (r : Desired.rule) ->
-              step (Channel.Add_rule { table = r.dr_table; pattern = r.dr_pattern; action = r.dr_action }))
-            drift.df_missing_rules
-        in
-        step Channel.Commit_generation
-      in
-      match repair with
+      match replay ops with
       | Error msg -> Repair_failed msg
       | Ok () -> (
         (* Verify: the proof of convergence is the re-pulled config, not
@@ -610,11 +326,10 @@ let reconcile_enclave t ch =
           let drift = diff_against_desired t sn ~acked in
           if drift_in_sync drift then begin
             Channel.clear_divergent ch;
-            Tel.Counter.add t.cm_reconcile_replayed !ops;
-            Repaired !ops
+            Tel.Counter.add t.cm_reconcile_replayed (List.length ops);
+            Repaired (List.length ops)
           end
-          else Repair_failed (Format.asprintf "residual drift: %a" pp_drift drift))
-    end)
+          else Repair_failed (Format.asprintf "residual drift: %a" pp_drift drift)))
 
 let reconcile t =
   List.map (fun ch -> (Channel.host ch, reconcile_enclave t ch)) (channels t)
@@ -626,6 +341,114 @@ let converged t =
       | Error _ -> false
       | Ok (sn, acked) -> drift_in_sync (diff_against_desired t sn ~acked))
     (channels t)
+
+(* ------------------------------------------------------------------ *)
+(* Broadcast pushes.
+
+   A push is accepted or refused at the *desired-state* level:
+
+   - if any enclave [`Rejected] the op (a permanent refusal — e.g. the
+     bytecode fails verification there), the change is abandoned: it is
+     not recorded in the desired state, and the enclaves that did apply
+     it are reconciled back to that unchanged desired state;
+   - transient failures ([`Unreachable] after retries) do NOT abandon the
+     change: the desired state is committed, the unreachable enclaves are
+     marked divergent, and {!reconcile} converges them later.  This is
+     the paper's consistency model — enclaves forward on stale policy
+     until the controller reaches them (§2.2), rather than the fleet
+     being held hostage by its least reachable member. *)
+
+(* The one driver every change goes through, two-phase so that no
+   enclave ever acknowledges a generation that did not commit:
+   1. broadcast [op] at the *current* generation;
+   2. on acceptance run [commit] (the desired-state edit), then bump;
+   3. send [Commit_generation] to the enclaves that applied [op].
+   On rejection the desired state has not been touched, so rollback is
+   reconciliation of the enclaves that applied [op]: the diff finds the
+   inverse delta (for a rule, its per-enclave id) on its own.  A failed
+   rollback does not stop the others; its host is left divergent.  The
+   aborted change never advanced a watermark, preserving
+   acked <= desired. *)
+let push t op ~commit =
+  let gen = Desired.generation t.desired in
+  let rec broadcast applied = function
+    | [] ->
+      commit ();
+      Desired.bump t.desired;
+      let gen = Desired.generation t.desired in
+      List.iter
+        (fun ch ->
+          match send_with_retry t ch ~gen Channel.Commit_generation with
+          | Ok _ -> ()
+          | Error _ -> Channel.mark_divergent ch)
+        (List.rev applied);
+      Ok ()
+    | ch :: rest -> (
+      match send_with_retry t ch ~gen op with
+      | Ok _ -> broadcast (ch :: applied) rest
+      | Error (`Unreachable _) ->
+        Channel.mark_divergent ch;
+        broadcast applied rest
+      | Error (`Rejected msg) -> (
+        let rejected =
+          Printf.sprintf "host %d rejected %s: %s" (Channel.host ch)
+            (Channel.op_to_string op) msg
+        in
+        let rollback_failed ch =
+          match reconcile_enclave t ch with
+          | In_sync | Repaired _ -> None
+          | Unreachable _ | Repair_failed _ ->
+            Channel.mark_divergent ch;
+            Some (string_of_int (Channel.host ch))
+        in
+        match List.filter_map rollback_failed (List.rev applied) with
+        | [] -> Error rejected
+        | hosts ->
+          Error
+            (Printf.sprintf
+               "%s; rollback failed on hosts [%s], left divergent pending reconciliation"
+               rejected (String.concat "," hosts))))
+  in
+  broadcast [] (channels t)
+
+let require_action t name k =
+  if Desired.has_action t.desired name then k ()
+  else Error (Printf.sprintf "action %S is not in the desired state" name)
+
+let install_action_everywhere t spec =
+  if Desired.has_action t.desired spec.Enclave.i_name then
+    Error (Printf.sprintf "action %S is already in the desired state" spec.Enclave.i_name)
+  else
+    push t (Channel.Install_action spec) ~commit:(fun () ->
+        ignore (Desired.add_action t.desired spec))
+
+let remove_action_everywhere t name =
+  require_action t name (fun () ->
+      push t (Channel.Remove_action name) ~commit:(fun () ->
+          ignore (Desired.remove_action t.desired name)))
+
+let add_table_everywhere t =
+  let id = Desired.tables t.desired in
+  push t Channel.Add_table ~commit:(fun () -> ignore (Desired.add_table t.desired))
+  |> Result.map (fun () -> id)
+
+let add_rule_everywhere t ?(table = 0) ~pattern ~action () =
+  require_action t action (fun () ->
+      if table < 0 || table >= Desired.tables t.desired then
+        Error (Printf.sprintf "table %d is not in the desired state" table)
+      else
+        push t (Channel.Add_rule { table; pattern; action }) ~commit:(fun () ->
+            ignore (Desired.add_rule t.desired ~table ~pattern ~action)))
+
+let set_global_everywhere t ~action name value =
+  require_action t action (fun () ->
+      push t (Channel.Set_global { action; name; value }) ~commit:(fun () ->
+          ignore (Desired.set_global t.desired ~action name value)))
+
+let set_global_array_everywhere t ~action name value =
+  require_action t action (fun () ->
+      push t (Channel.Set_global_array { action; name; value }) ~commit:(fun () ->
+          ignore (Desired.set_global_array t.desired ~action name value)))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)

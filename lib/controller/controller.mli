@@ -67,26 +67,29 @@ val divergent_hosts : t -> Eden_base.Addr.host list
 
 (** {2 Enclave programming (broadcast)}
 
-    A push is accepted or refused at the desired-state level: a permanent
-    rejection by any enclave abandons the change and undoes it
-    failure-tolerantly wherever it landed (a failed undo does not abort
-    the remaining undos; the error names the hosts left divergent).
+    Every change below goes through one two-phase driver: the change's
+    op is broadcast at the current generation; once every reachable
+    enclave has accepted it, the change is recorded in the desired
+    store, the generation is bumped, and [Commit_generation] is sent to
+    the enclaves that applied it.  An aborted change therefore never
+    advances any watermark — acked generation <= desired generation is
+    an invariant.
+
+    A permanent rejection by any enclave abandons the change.  The
+    desired store was not edited, so rollback is reconciliation: each
+    enclave that applied the op gets one {!reconcile_enclave} round,
+    which replays the inverse delta (and counts in
+    [eden_controller_reconcile_rounds_total]).  A failed rollback does
+    not stop the others; the error names the hosts left divergent.
     Transient failures do {e not} abandon the change — the desired state
     commits, the unreachable enclaves are marked divergent, and
-    {!reconcile} converges them later.
-
-    Pushes are two-phase with respect to the generation counter: the op
-    is broadcast at the current generation, and only once the change has
-    committed is a [Commit_generation] sent to the enclaves that applied
-    it.  An aborted change therefore never advances any watermark —
-    acked generation <= desired generation is an invariant. *)
+    {!reconcile} converges them later. *)
 
 val install_action_everywhere :
   t -> Eden_enclave.Enclave.install_spec -> (unit, string) result
 
 val remove_action_everywhere : t -> string -> (unit, string) result
-(** Idempotent at the enclave, so never rejected: commits the desired
-    change and pushes best-effort. *)
+(** Idempotent at the enclave, so never rejected. *)
 
 val add_table_everywhere : t -> (int, string) result
 
@@ -156,17 +159,6 @@ val telemetry : t -> Eden_telemetry.Registry.t
 (** The controller's own registry, synced on every call. *)
 
 val scrape : t -> Eden_telemetry.Registry.sample list
-
-(** {2 Stage programming} *)
-
-val program_stage :
-  t ->
-  stage:string ->
-  ruleset:string ->
-  rules:(Eden_stage.Classifier.t * string * string list) list ->
-  (unit, string) result
-(** Install [(classifier, class, metadata fields)] rules on a registered
-    stage. *)
 
 (** {2 Monitoring} *)
 

@@ -1,9 +1,7 @@
 module Enclave = Eden_enclave.Enclave
-module Table = Eden_enclave.Table
 module Pattern = Eden_base.Class_name.Pattern
 
 type rule = {
-  dr_id : int;
   dr_table : int;
   dr_pattern : Pattern.t;
   dr_action : string;
@@ -15,7 +13,6 @@ type t = {
   mutable d_tables : int;  (* table ids 0 .. d_tables - 1 exist *)
   d_globals : (string * string, int64) Hashtbl.t;  (* (action, name) *)
   d_arrays : (string * string, int64 array) Hashtbl.t;
-  mutable d_next_rule : int;
   mutable d_generation : int;
 }
 
@@ -26,7 +23,6 @@ let create () =
     d_tables = 1;
     d_globals = Hashtbl.create 16;
     d_arrays = Hashtbl.create 16;
-    d_next_rule = 0;
     d_generation = 0;
   }
 
@@ -76,16 +72,10 @@ let add_rule t ~table ~pattern ~action =
   else if table < 0 || table >= t.d_tables then
     Error (Printf.sprintf "table %d is not in the desired state" table)
   else begin
-    let r = { dr_id = t.d_next_rule; dr_table = table; dr_pattern = pattern; dr_action = action } in
-    t.d_next_rule <- r.dr_id + 1;
+    let r = { dr_table = table; dr_pattern = pattern; dr_action = action } in
     t.d_rules <- t.d_rules @ [ r ];
     Ok r
   end
-
-let remove_rule t id =
-  let before = List.length t.d_rules in
-  t.d_rules <- List.filter (fun r -> r.dr_id <> id) t.d_rules;
-  List.length t.d_rules < before
 
 let set_global t ~action name v =
   if not (has_action t action) then
@@ -113,22 +103,3 @@ let bindings_of tbl action =
 let globals_of t action = bindings_of t.d_globals action
 let arrays_of t action = bindings_of t.d_arrays action
 
-(* The configuration an enclave converged to this desired state would
-   report — comparable with [Enclave.config_equal] against a pulled
-   snapshot, up to state keys the desired store does not own (functions
-   installed with initial state write their own globals at run time). *)
-let to_snapshot t =
-  {
-    Enclave.sn_actions = t.d_actions;
-    sn_globals = List.map (fun s -> (s.Enclave.i_name, globals_of t s.Enclave.i_name)) t.d_actions;
-    sn_arrays = List.map (fun s -> (s.Enclave.i_name, arrays_of t s.Enclave.i_name)) t.d_actions;
-    sn_rules =
-      List.init t.d_tables (fun id ->
-          ( id,
-            List.filter_map
-              (fun r ->
-                if r.dr_table = id then
-                  Some { Table.rule_id = r.dr_id; pattern = r.dr_pattern; action = r.dr_action }
-                else None)
-              t.d_rules ));
-  }

@@ -14,7 +14,6 @@
     diverge and are not reconciled. *)
 
 type rule = {
-  dr_id : int;  (** Desired-store id; enclave rule ids are per-enclave. *)
   dr_table : int;
   dr_pattern : Eden_base.Class_name.Pattern.t;
   dr_action : string;
@@ -54,8 +53,6 @@ val add_rule :
   action:string ->
   (rule, string) result
 
-val remove_rule : t -> int -> bool
-
 val set_global : t -> action:string -> string -> int64 -> (unit, string) result
 val set_global_array : t -> action:string -> string -> int64 array -> (unit, string) result
 val global : t -> action:string -> string -> int64 option
@@ -66,6 +63,3 @@ val globals_of : t -> string -> (string * int64) list
 
 val arrays_of : t -> string -> (string * int64 array) list
 
-val to_snapshot : t -> Eden_enclave.Enclave.snapshot
-(** The configuration a converged enclave would report, for
-    desired-vs-actual comparison. *)

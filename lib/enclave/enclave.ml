@@ -985,33 +985,27 @@ let restore t sn =
         rules)
     sn.sn_rules
 
-(* Configuration equality ignores what cannot be compared (native
-   closures) and what is not configuration (rule ids): two enclaves are
-   configured equally when they hold the same actions (by name, engine
-   kind and message sources), the same state bindings and the same
-   (pattern, action) rule sequences per table. *)
-let config_equal a b =
-  let impl_kind = function
+(* Configuration identity ignores what cannot be compared (native
+   closures) and what is not configuration (rule ids). *)
+let action_key (s : install_spec) =
+  let impl =
+    match s.i_impl with
     | Interpreted p -> "interpreted:" ^ p.P.name
     | Compiled p -> "compiled:" ^ p.P.name
     | Native _ -> "native"
   in
-  let spec_key (s : install_spec) =
-    (s.i_name, impl_kind s.i_impl, List.sort compare s.i_msg_sources)
+  (s.i_name, impl, List.sort compare s.i_msg_sources)
+
+let rule_key pattern action = (Class_name.Pattern.to_string pattern, action)
+
+let config_equal a b =
+  let table_keys (id, rs) =
+    (id, List.map (fun (r : Table.rule) -> rule_key r.Table.pattern r.Table.action) rs)
   in
-  let rule_key (r : Table.rule) = (Class_name.Pattern.to_string r.Table.pattern, r.Table.action) in
-  List.map spec_key a.sn_actions = List.map spec_key b.sn_actions
+  List.map action_key a.sn_actions = List.map action_key b.sn_actions
   && a.sn_globals = b.sn_globals
   && a.sn_arrays = b.sn_arrays
-  && List.map (fun (id, rs) -> (id, List.map rule_key rs)) a.sn_rules
-     = List.map (fun (id, rs) -> (id, List.map rule_key rs)) b.sn_rules
-
-let snapshot_summary sn =
-  Printf.sprintf "%d actions, %d rules, %d globals, %d arrays"
-    (List.length sn.sn_actions)
-    (List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 sn.sn_rules)
-    (List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 sn.sn_globals)
-    (List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 sn.sn_arrays)
+  && List.map table_keys a.sn_rules = List.map table_keys b.sn_rules
 
 (* ------------------------------------------------------------------ *)
 (* Data path *)

@@ -318,13 +318,19 @@ val restore : t -> snapshot -> (unit, string) result
 (** [restart] then replay the snapshot (actions, state, tables, rules).
     Counts as a restart. *)
 
-val config_equal : snapshot -> snapshot -> bool
-(** Configuration equivalence: same actions (name, engine kind, message
-    sources) in the same install order, same state bindings, same
-    (pattern, action) rule sequence per table.  Rule ids are ignored —
-    they are allocation artifacts, not configuration. *)
+val action_key : install_spec -> string * string * (string * msg_field_source) list
+(** What makes two installed actions the same configuration: name,
+    engine kind with program name (native closures compare by kind
+    only), and sorted message sources. *)
 
-val snapshot_summary : snapshot -> string
+val rule_key : Eden_base.Class_name.Pattern.t -> string -> string * string
+(** What makes two rules the same configuration: pattern and action.
+    Rule ids are allocation artifacts, not configuration. *)
+
+val config_equal : snapshot -> snapshot -> bool
+(** Configuration equivalence: the same {!action_key}s in the same
+    install order, the same state bindings, and the same {!rule_key}
+    sequence per table. *)
 
 val faults : t -> fault_record list
 (** Most recent first; bounded (a fixed-size {!Eden_telemetry.Ring}

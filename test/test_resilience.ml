@@ -42,15 +42,19 @@ let data_packet ?(id = 0L) f =
 
 (* An action that faults (division by zero) whenever the global [D] is
    zero — the controllable fault source for breaker tests. *)
-let divider_spec =
+let divider_program =
   let schema = Schema.with_standard_packet ~global:[ Schema.field "D" ] () in
   let act = Dsl.(action "divider" (set_pkt "Priority" (int 6 / glob "D"))) in
-  let program =
-    match Compile.compile schema act with
-    | Ok p -> p
-    | Error e -> invalid_arg (Compile.error_to_string e)
-  in
-  { Enclave.i_name = "divider"; i_impl = Enclave.Interpreted program; i_msg_sources = [] }
+  match Compile.compile schema act with
+  | Ok p -> p
+  | Error e -> invalid_arg (Compile.error_to_string e)
+
+let divider_spec =
+  {
+    Enclave.i_name = "divider";
+    i_impl = Enclave.Interpreted divider_program;
+    i_msg_sources = [];
+  }
 
 let divider_enclave ~d =
   let e = Enclave.create ~host:1 () in
@@ -374,6 +378,180 @@ let test_reports_include_resilience_columns () =
     check_int "watermark visible in the report" 0 r.Controller.er_generation
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
 
+let rules_of e =
+  List.concat_map snd (Enclave.snapshot e).Enclave.sn_rules
+
+let test_add_rule_rejection_rolls_back () =
+  let ctl, enclaves = fresh_fleet ~hosts:3 () in
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  get_ok (Controller.add_rule_everywhere ctl ~pattern:Pattern.any ~action:"divider" ());
+  let before = Array.map rules_of enclaves in
+  let gen = Controller.generation ctl in
+  (* Host 2 loses the action behind the controller's back, so it refuses
+     the next rule for it; hosts 0 and 1 apply it first. *)
+  ignore (Enclave.remove_action enclaves.(2) "divider");
+  (match Controller.add_rule_everywhere ctl ~pattern:Pattern.any ~action:"divider" () with
+  | Ok () -> Alcotest.fail "expected the rule push to be rejected"
+  | Error msg ->
+    check_bool "error names the rejecting host" true (contains ~sub:"host 2 rejected" msg);
+    check_bool "every rollback succeeded" false (contains ~sub:"rollback failed" msg));
+  for h = 0 to 1 do
+    check_bool
+      (Printf.sprintf "host %d holds its original rule, same id" h)
+      true
+      (rules_of enclaves.(h) = before.(h))
+  done;
+  check_int "desired rules unchanged" 1 (List.length (Desired.rules (Controller.desired ctl)));
+  check_int "generation unchanged" gen (Controller.generation ctl);
+  check_bool "no host left divergent" true (Controller.divergent_hosts ctl = [])
+
+let test_set_global_rejection_restores_old_value () =
+  let ctl, enclaves = fresh_fleet ~hosts:3 () in
+  get_ok (Controller.install_action_everywhere ctl divider_spec);
+  get_ok (Controller.set_global_everywhere ctl ~action:"divider" "D" 4L);
+  let gen = Controller.generation ctl in
+  ignore (Enclave.remove_action enclaves.(2) "divider");
+  (match Controller.set_global_everywhere ctl ~action:"divider" "D" 9L with
+  | Ok () -> Alcotest.fail "expected the state push to be rejected"
+  | Error msg -> check_bool "host 2 rejected" true (contains ~sub:"host 2 rejected" msg));
+  for h = 0 to 1 do
+    check_bool
+      (Printf.sprintf "host %d holds the old value again" h)
+      true
+      (Enclave.get_global enclaves.(h) ~action:"divider" "D" = Some 4L)
+  done;
+  check_bool "desired keeps the old value" true
+    (Desired.global (Controller.desired ctl) ~action:"divider" "D" = Some 4L);
+  check_int "generation unchanged" gen (Controller.generation ctl)
+
+(* ------------------------------------------------------------------ *)
+(* Random change sequences under random channel faults.
+
+   A 3-host fleet takes a random sequence of the six broadcast changes
+   while each channel follows a random Drop/Ack_lost/Duplicate script.
+   Host 2 starts with its own "clash" action (same name, other engine),
+   so installing "clash" is refused there and must roll back elsewhere.
+   After every call: acked <= desired on every channel; an [Error]
+   leaves the desired state and generation untouched; an [Ok] bumps the
+   generation once and leaves every host acked at it or divergent.
+   After the faults stop, one reconcile converges the fleet. *)
+
+type change =
+  | Install of string
+  | Remove of string
+  | Table
+  | Rule of string * int
+  | Global of string * int64
+  | Global_array of string * int64 array
+
+let change_to_string = function
+  | Install a -> "install " ^ a
+  | Remove a -> "remove " ^ a
+  | Table -> "add_table"
+  | Rule (a, tb) -> Printf.sprintf "rule %s @%d" a tb
+  | Global (a, v) -> Printf.sprintf "global %s.D=%Ld" a v
+  | Global_array (a, arr) -> Printf.sprintf "array %s.A[%d]" a (Array.length arr)
+
+let clash_spec = { divider_spec with Enclave.i_name = "clash" }
+
+let apply_change ctl = function
+  | Install "clash" -> Controller.install_action_everywhere ctl clash_spec
+  | Install _ -> Controller.install_action_everywhere ctl divider_spec
+  | Remove a -> Controller.remove_action_everywhere ctl a
+  | Table -> Result.map ignore (Controller.add_table_everywhere ctl)
+  | Rule (a, table) ->
+    Controller.add_rule_everywhere ctl ~table ~pattern:Pattern.any ~action:a ()
+  | Global (a, v) -> Controller.set_global_everywhere ctl ~action:a "D" v
+  | Global_array (a, arr) -> Controller.set_global_array_everywhere ctl ~action:a "A" arr
+
+let gen_change =
+  let open QCheck.Gen in
+  (* "clash" mostly fails validation or is refused, so most edits go to
+     "divider". *)
+  let action = frequencyl [ (3, "divider"); (1, "clash") ] in
+  frequency
+    [
+      (3, map (fun a -> Install a) (oneofl [ "divider"; "clash" ]));
+      (1, map (fun a -> Remove a) action);
+      (1, return Table);
+      (3, map2 (fun a tb -> Rule (a, tb)) action (int_bound 2));
+      (3, map2 (fun a v -> Global (a, Int64.of_int v)) action (int_range 1 9));
+      ( 2,
+        map2
+          (fun a n -> Global_array (a, Array.init n Int64.of_int))
+          action (int_range 1 4) );
+    ]
+
+(* Faults come in bursts so that a run of drops can outlast the retry
+   budget and leave a host unreachable. *)
+let gen_script =
+  let open QCheck.Gen in
+  let burst =
+    map3
+      (fun start len f -> List.init len (fun i -> (start + i, f)))
+      (int_bound 60) (int_range 1 6)
+      (oneofl [ Channel.Drop; Channel.Ack_lost; Channel.Duplicate ])
+  in
+  map List.concat (list_size (int_bound 6) burst)
+
+let desired_fingerprint ctl =
+  let d = Controller.desired ctl in
+  ( Desired.generation d,
+    List.map Enclave.action_key (Desired.actions d),
+    Desired.tables d,
+    List.map
+      (fun (r : Desired.rule) -> (r.dr_table, Enclave.rule_key r.dr_pattern r.dr_action))
+      (Desired.rules d),
+    List.map
+      (fun a -> (a, Desired.globals_of d a, Desired.arrays_of d a))
+      (Desired.action_names d) )
+
+let run_random_changes (scripts, changes) =
+  let ctl, enclaves = fresh_fleet ~hosts:3 () in
+  get_ok
+    (Enclave.install_action enclaves.(2)
+       { clash_spec with Enclave.i_impl = Enclave.Compiled divider_program });
+  List.iteri (fun h s -> Channel.script (chan ctl h) s) scripts;
+  let acked_bounded () =
+    List.for_all
+      (fun ch -> Channel.acked_generation ch <= Controller.generation ctl)
+      (Controller.channels ctl)
+  in
+  List.iter
+    (fun c ->
+      let before = desired_fingerprint ctl in
+      let gen = Controller.generation ctl in
+      let r = apply_change ctl c in
+      if not (acked_bounded ()) then
+        QCheck.Test.fail_reportf "%s: an enclave acked past the desired generation"
+          (change_to_string c);
+      match r with
+      | Ok () ->
+        if Controller.generation ctl <> gen + 1 then
+          QCheck.Test.fail_reportf "%s: accepted without exactly one bump" (change_to_string c);
+        (* The commit phase reached every host it did not give up on. *)
+        List.iter
+          (fun ch ->
+            if Channel.acked_generation ch <> gen + 1 && not (Channel.divergent ch) then
+              QCheck.Test.fail_reportf "%s: host %d acked %d of %d but is not divergent"
+                (change_to_string c) (Channel.host ch) (Channel.acked_generation ch) (gen + 1))
+          (Controller.channels ctl)
+      | Error msg ->
+        if desired_fingerprint ctl <> before then
+          QCheck.Test.fail_reportf "%s: refused (%s) but the desired state changed"
+            (change_to_string c) msg)
+    changes;
+  List.iter (fun ch -> Channel.script ch []) (Controller.channels ctl);
+  ignore (Controller.reconcile ctl);
+  Controller.converged ctl
+
+let prop_random_changes_converge =
+  QCheck.Test.make ~name:"random changes under faults converge" ~count:200
+    (QCheck.make
+       ~print:(fun (_, cs) -> String.concat "; " (List.map change_to_string cs))
+       QCheck.Gen.(pair (list_repeat 3 gen_script) (list_size (int_range 1 25) gen_change)))
+    run_random_changes
+
 (* ------------------------------------------------------------------ *)
 (* Chaos scenarios under the CI seed *)
 
@@ -438,6 +616,12 @@ let () =
             test_partition_heal_convergence;
           Alcotest.test_case "reports carry resilience columns" `Quick
             test_reports_include_resilience_columns;
+          Alcotest.test_case "rejected add_rule rolls back" `Quick
+            test_add_rule_rejection_rolls_back;
+          Alcotest.test_case "rejected set_global restores old value" `Quick
+            test_set_global_rejection_restores_old_value;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |])
+            prop_random_changes_converge;
         ] );
       ( "chaos",
         [

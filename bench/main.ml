@@ -189,69 +189,74 @@ let program_steps p =
   | Ok s -> s.Interp.steps
   | Error (_, s) -> s.Interp.steps
 
-(* Steady-state allocation of the cached compiled data path: after the
-   flow cache and marshal plans are warm, [process] must not allocate for
-   marshalling or table lookup.  What remains above the no-policy
-   baseline is the int64 boxing of scalar copy-in plus the cost
-   accumulator's boxed floats — a small constant, asserted here so a
-   regression (a stray [Array.map], option, or closure on the per-packet
-   path) fails the bench loudly. *)
-let allocation_words_budget = 64.0
+(* Steady-state allocation of the data path, as absolute minor words per
+   packet.  Each measured packet is a fresh one on a warm flow, as a host
+   stack hands the enclave every packet once: the flow's entry, the
+   match-action cache and the marshal plans are warm, so [process] must
+   not allocate for classification, marshalling or table lookup.  The
+   budgets are the values measured when they were set plus a couple of
+   words of headroom; a stray [Array.map], option or closure on the
+   per-packet path fails the bench loudly.  The packets are built before
+   the measurement starts.  Measured on OCaml 5.1.1, dev profile: 14.0,
+   26.0 and 26.4. *)
+let no_policy_words_budget = 16.0
+let compiled_words_budget = 28.0
+let batch_words_budget = 28.0
 
 let allocation_check () =
   let words_per_packet e =
-    let pkt = bench_packet () in
     for i = 1 to 1_000 do
-      ignore (Enclave.process e ~now:(Eden_base.Time.us i) pkt)
+      ignore (Enclave.process e ~now:(Eden_base.Time.us i) (bench_packet ()))
     done;
     let n = 10_000 in
+    let pkts = Array.init n (fun _ -> bench_packet ()) in
     let before = Gc.minor_words () in
     for i = 1 to n do
-      ignore (Enclave.process e ~now:(Eden_base.Time.us (1_000 + i)) pkt)
+      ignore (Enclave.process e ~now:(Eden_base.Time.us (1_000 + i)) pkts.(i - 1))
     done;
     (Gc.minor_words () -. before) /. float_of_int n
   in
-  let base = words_per_packet (Enclave.create ~host:1 ()) in
-  let compiled = words_per_packet (pias_process_enclave `Compiled) in
-  let delta = compiled -. base in
-  Printf.printf
-    "\nallocation (minor words/packet): no-policy %.1f, compiled pias %.1f, delta %.1f \
-     (budget %.0f)\n"
-    base compiled delta allocation_words_budget;
-  if delta > allocation_words_budget then begin
-    Printf.printf
-      "ALLOCATION REGRESSION: the cached compiled data path allocates %.1f words/packet \
-       over the no-policy baseline\n"
-      delta;
-    exit 1
-  end;
-  (* The batched entry point must stay on the same budget: its
-     per-packet grouping state is two preallocated refs, so the only
-     extra allocation over [process] is the result list and decision
-     records it returns. *)
+  (* The batched entry point's per-packet grouping state is two
+     preallocated refs, so the only extra allocation over [process] is
+     the result list and decision records it returns. *)
   let batch_words_per_packet e =
-    let pkts = List.init 32 (fun _ -> bench_packet ()) in
+    let batch () = List.init 32 (fun _ -> bench_packet ()) in
     for i = 1 to 100 do
-      ignore (Enclave.process_batch e ~now:(Eden_base.Time.us i) pkts)
+      ignore (Enclave.process_batch e ~now:(Eden_base.Time.us i) (batch ()))
     done;
     let rounds = 400 in
+    let batches = Array.init rounds (fun _ -> batch ()) in
     let before = Gc.minor_words () in
     for i = 1 to rounds do
-      ignore (Enclave.process_batch e ~now:(Eden_base.Time.us (100 + i)) pkts)
+      ignore (Enclave.process_batch e ~now:(Eden_base.Time.us (100 + i)) batches.(i - 1))
     done;
     (Gc.minor_words () -. before) /. float_of_int (rounds * 32)
   in
-  let batched = batch_words_per_packet (pias_process_enclave `Compiled) in
-  Printf.printf
-    "allocation (minor words/packet): compiled pias via process_batch %.1f (budget %.0f)\n"
-    batched allocation_words_budget;
-  if batched -. base > allocation_words_budget then begin
-    Printf.printf
-      "ALLOCATION REGRESSION: process_batch allocates %.1f words/packet over the \
-       no-policy baseline\n"
-      (batched -. base);
-    exit 1
-  end
+  let checks =
+    [
+      ("no-policy process", words_per_packet (Enclave.create ~host:1 ()), no_policy_words_budget);
+      ( "compiled pias process",
+        words_per_packet (pias_process_enclave `Compiled),
+        compiled_words_budget );
+      ( "compiled pias process_batch",
+        batch_words_per_packet (pias_process_enclave `Compiled),
+        batch_words_budget );
+    ]
+  in
+  Printf.printf "\n";
+  List.iter
+    (fun (name, words, budget) ->
+      Printf.printf "allocation (minor words/packet): %s %.1f (budget %.0f)\n" name words
+        budget)
+    checks;
+  List.iter
+    (fun (name, words, budget) ->
+      if words > budget then begin
+        Printf.printf "ALLOCATION REGRESSION: %s allocates %.1f words/packet, budget %.0f\n"
+          name words budget;
+        exit 1
+      end)
+    checks
 
 let micro () =
   section_header "Micro-benchmarks: real interpreter cost on this machine (Bechamel)";

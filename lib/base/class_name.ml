@@ -17,7 +17,12 @@ let of_string s =
   | _ -> None
 
 let compare = Stdlib.compare
-let equal a b = compare a b = 0
+
+let equal a b =
+  a == b
+  || (String.equal a.name b.name && String.equal a.ruleset b.ruleset
+     && String.equal a.stage b.stage)
+
 let pp fmt c = Format.pp_print_string fmt (to_string c)
 
 module Pattern = struct

@@ -8,6 +8,10 @@
 type t = private { stage : string; ruleset : string; name : string }
 
 val v : stage:string -> ruleset:string -> name:string -> t
+(** @raise Invalid_argument unless every component is {!valid_component}. *)
+
+val valid_component : string -> bool
+(** Non-empty and dot-free. *)
 
 val to_string : t -> string
 (** [to_string c] is ["stage.ruleset.name"]. *)

@@ -24,6 +24,11 @@ type t = {
 }
 
 let empty = { msg_id = None; fields = Smap.empty; classes = [] }
+
+let is_empty t =
+  match (t.msg_id, t.classes) with
+  | None, [] -> Smap.is_empty t.fields
+  | _ -> false
 let with_msg_id id t = { t with msg_id = Some id }
 let msg_id t = t.msg_id
 let add field v t = { t with fields = Smap.add field v t.fields }

@@ -21,6 +21,9 @@ type t
 
 val empty : t
 
+val is_empty : t -> bool
+(** No message id, no field and no class. *)
+
 val with_msg_id : int64 -> t -> t
 val msg_id : t -> int64 option
 

@@ -44,6 +44,9 @@ let admission_ns m ~steps =
   m.classify_ns +. m.marshal_ns +. (float_of_int steps *. m.per_step_ns)
 
 module Accum = struct
+  (* All-float, so OCaml stores the fields flat and a charge updates them
+     in place; one int field would box every float written.  The packet
+     count is exact up to 2^53. *)
   type t = {
     mutable vanilla : float;
     mutable api : float;
@@ -51,16 +54,16 @@ module Accum = struct
     mutable marshal : float;
     mutable interp : float;
     mutable native : float;
-    mutable packets : int;
+    mutable packets : float;
   }
 
   let create () =
     { vanilla = 0.0; api = 0.0; classify = 0.0; marshal = 0.0; interp = 0.0;
-      native = 0.0; packets = 0 }
+      native = 0.0; packets = 0.0 }
 
   let add_vanilla t m =
     t.vanilla <- t.vanilla +. m.vanilla_ns;
-    t.packets <- t.packets + 1
+    t.packets <- t.packets +. 1.0
 
   let add_api t m = t.api <- t.api +. m.api_ns
   let add_classify t m = t.classify <- t.classify +. m.classify_ns
@@ -70,7 +73,7 @@ module Accum = struct
   let add_compiled t m ~steps =
     t.interp <- t.interp +. (float_of_int steps *. m.compiled_step_ns)
   let add_native t m = t.native <- t.native +. m.native_ns
-  let packets t = t.packets
+  let packets t = int_of_float t.packets
 
   let overhead_total_ns t = t.api +. t.classify +. t.marshal +. t.interp +. t.native
 
@@ -98,6 +101,6 @@ module Accum = struct
       marshal = a.marshal +. b.marshal;
       interp = a.interp +. b.interp;
       native = a.native +. b.native;
-      packets = a.packets + b.packets;
+      packets = a.packets +. b.packets;
     }
 end

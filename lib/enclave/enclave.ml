@@ -436,6 +436,33 @@ type installed = {
    rule fires here" so misses are as cheap as hits. *)
 type cached = C_none | C_run of Table.rule * installed
 
+(* What the enclave keeps per transport flow, so a flow is classified
+   once rather than per packet.  [f_md]/[f_classes] are the flow stage's
+   classification at stage version [f_version]; [f_cached] is the table-0
+   resolution of [f_classes] at enclave generation [f_gen] (-1: none). *)
+type flow_entry = {
+  f_id : int64;  (* the flow's message id *)
+  mutable f_version : int;
+  mutable f_md : Metadata.t;
+  mutable f_classes : Class_name.t list;
+  mutable f_gen : int;
+  mutable f_cached : cached;
+}
+
+(* While the flow stage is {!Stage.descriptor_free} every flow gets the
+   same classes: [sc_md] is that classification under message id 0,
+   taken once per stage version and restamped per flow.  [None] while
+   the stage reads the descriptor. *)
+type shared_class = {
+  sc_version : int;
+  sc_md : Metadata.t option;
+  sc_classes : Class_name.t list;
+}
+
+(* A float stored flat: a mutable float field of the mixed record [t]
+   would box on every write. *)
+type float_cell = { mutable fc : float }
+
 let fault_ring_capacity = 100
 
 type t = {
@@ -445,7 +472,8 @@ type t = {
   e_rng : Rng.t;
   e_cache_cap : int;  (* per-table match-action cache capacity *)
   e_flow_stage : Stage.t;
-  e_flow_ids : int64 Addr.Flow_table.t;
+  e_flow_ids : flow_entry Addr.Flow_table.t;
+  mutable e_shared_class : shared_class;
   mutable e_next_flow_id : int64;
   e_actions : (string, installed) Hashtbl.t;
   mutable e_install_order : string list;  (* oldest first *)
@@ -453,6 +481,7 @@ type t = {
   mutable e_next_table : int;
   mutable e_caches : (Class_name.t list, cached) Hashtbl.t array;
       (* per-table match-action cache, indexed by (dense) table id *)
+  mutable e_gen : int;  (* bumped whenever a cached resolution may be stale *)
   (* Telemetry: the registry is the directory, the cells below are the
      hot-path storage (one field read + int bump per event, no lookup). *)
   e_tel : Tel.Registry.t;
@@ -480,7 +509,7 @@ type t = {
   e_cost_model : Cost.model;
   mutable e_budget_ns : float;
   mutable e_enforce : bool;
-  mutable e_last_cost_ns : float;
+  e_last_cost_ns : float_cell;
   mutable e_breaker : breaker_config option;
   mutable e_restarts : int;
 }
@@ -504,12 +533,14 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_cache_cap = flow_cache_capacity;
       e_flow_stage = Builtin.flow ();
       e_flow_ids = Addr.Flow_table.create 64;
+      e_shared_class = { sc_version = -1; sc_md = None; sc_classes = [] };
       e_next_flow_id = flow_id_base;
       e_actions = Hashtbl.create 8;
       e_install_order = [];
       e_tables = Hashtbl.create 4;
       e_next_table = 1;
       e_caches = [| Hashtbl.create 64 |];
+      e_gen = 0;
       e_tel = tel;
       m_packets = counter ~help:"Packets processed" "eden_enclave_packets_total";
       m_dropped = counter ~help:"Packets dropped by action decision" "eden_enclave_dropped_total";
@@ -556,7 +587,7 @@ let create ?(placement = Os) ?(seed = 0xEDE1L) ?(flow_cache_capacity = 4096) ~ho
       e_budget_ns =
         (match placement with Os -> Cost.os_model | Nic -> Cost.nic_model).Cost.budget_ns;
       e_enforce = true;
-      e_last_cost_ns = 0.0;
+      e_last_cost_ns = { fc = 0.0 };
       e_breaker = None;
       e_restarts = 0;
     }
@@ -609,14 +640,16 @@ let trace t = t.e_trace
 
 let cost t = t.e_cost
 let cost_model t = t.e_cost_model
-let last_process_cost_ns t = t.e_last_cost_ns
+let last_process_cost_ns t = t.e_last_cost_ns.fc
 let budget_ns t = t.e_budget_ns
 
 let set_budget_ns t ns =
   if ns <= 0.0 then invalid_arg "Enclave.set_budget_ns: budget must be positive";
   t.e_budget_ns <- ns
 
-let invalidate_caches t = Array.iter Hashtbl.reset t.e_caches
+let invalidate_caches t =
+  t.e_gen <- t.e_gen + 1;
+  Array.iter Hashtbl.reset t.e_caches
 
 (* ------------------------------------------------------------------ *)
 (* Enclave API *)
@@ -937,6 +970,7 @@ let restart t =
   Hashtbl.replace t.e_tables 0 (Table.create ~id:0);
   t.e_next_table <- 1;
   t.e_caches <- [| Hashtbl.create 64 |];
+  t.e_gen <- t.e_gen + 1;
   Addr.Flow_table.reset t.e_flow_ids;
   t.e_next_flow_id <- flow_id_base;
   Tel.Registry.reset t.e_tel;
@@ -946,7 +980,7 @@ let restart t =
   (match t.e_trace with Some tr -> Tel.Trace.clear tr | None -> ());
   t.e_trace_armed <- false;
   t.e_cost <- Cost.Accum.create ();
-  t.e_last_cost_ns <- 0.0
+  t.e_last_cost_ns.fc <- 0.0
 
 let restore t sn =
   restart t;
@@ -1010,14 +1044,52 @@ let config_equal a b =
 (* ------------------------------------------------------------------ *)
 (* Data path *)
 
-let flow_msg_id t flow =
+(* Classify [f] at flow-stage version [v]: restamp the shared
+   classification when the stage cannot tell flows apart, else classify
+   the flow's descriptor.  New classes void the table-0 resolution. *)
+let classify_flow t f flow v =
+  if t.e_shared_class.sc_version <> v then
+    t.e_shared_class <-
+      (if Stage.descriptor_free t.e_flow_stage then begin
+         let md =
+           Stage.classify ~msg_id:0L t.e_flow_stage Eden_stage.Classifier.Descriptor.empty
+         in
+         { sc_version = v; sc_md = Some md; sc_classes = Metadata.classes md }
+       end
+       else { sc_version = v; sc_md = None; sc_classes = [] });
+  (match t.e_shared_class.sc_md with
+  | Some md ->
+    f.f_md <- Metadata.with_msg_id f.f_id md;
+    f.f_classes <- t.e_shared_class.sc_classes
+  | None ->
+    let md = Stage.classify ~msg_id:f.f_id t.e_flow_stage (Builtin.flow_descriptor flow) in
+    f.f_md <- md;
+    f.f_classes <- Metadata.classes md);
+  f.f_version <- v;
+  f.f_gen <- -1
+
+(* The flow's entry, classified at the flow stage's current version. *)
+let flow_entry t flow =
+  let v = Stage.version t.e_flow_stage in
   match Addr.Flow_table.find t.e_flow_ids flow with
-  | id -> id
+  | f ->
+    if f.f_version <> v then classify_flow t f flow v;
+    f
   | exception Not_found ->
-    let id = t.e_next_flow_id in
-    t.e_next_flow_id <- Int64.add id 1L;
-    Addr.Flow_table.replace t.e_flow_ids flow id;
-    id
+    let f =
+      {
+        f_id = t.e_next_flow_id;
+        f_version = -1;
+        f_md = Metadata.empty;
+        f_classes = [];
+        f_gen = -1;
+        f_cached = C_none;
+      }
+    in
+    t.e_next_flow_id <- Int64.add f.f_id 1L;
+    classify_flow t f flow v;
+    Addr.Flow_table.replace t.e_flow_ids flow f;
+    f
 
 let record_fault t action fault now =
   Tel.Counter.inc t.m_faults;
@@ -1172,66 +1244,83 @@ let invoke_traced t a pkt md msg_id out ~now =
     | None -> ()
   end
 
-(* Table walk with the per-flow match-action cache: the resolution of a
-   class vector at a table — which rule fires and which installed action
-   it names — is invariant until the controller changes the rule or
-   action set, so it is memoised per table and the steady-state lookup
-   is one hash probe with no list scan or pattern match. *)
-let rec walk t ~now pkt md msg_id classes out table_id hops =
-  if hops < max_table_hops && table_id >= 0 && table_id < Array.length t.e_caches then begin
-    let cache = t.e_caches.(table_id) in
-    let entry =
-      match Hashtbl.find cache classes with
-      | e ->
-        Tel.Counter.inc t.m_cache_hits;
-        e
-      | exception Not_found ->
-        Tel.Counter.inc t.m_cache_misses;
-        let e =
-          match Hashtbl.find_opt t.e_tables table_id with
+(* The match-action cache: the resolution of a class vector at a table —
+   which rule fires and which installed action it names — is invariant
+   until the controller changes the rule or action set, so it is
+   memoised per table and the steady-state lookup is one hash probe with
+   no list scan or pattern match. *)
+let lookup_cached t table_id classes =
+  let cache = t.e_caches.(table_id) in
+  match Hashtbl.find cache classes with
+  | e ->
+    Tel.Counter.inc t.m_cache_hits;
+    e
+  | exception Not_found ->
+    Tel.Counter.inc t.m_cache_misses;
+    let e =
+      match Hashtbl.find_opt t.e_tables table_id with
+      | None -> C_none
+      | Some tbl -> (
+        match Table.lookup tbl classes with
+        | None -> C_none
+        | Some rule -> (
+          match Hashtbl.find_opt t.e_actions rule.Table.action with
           | None -> C_none
-          | Some tbl -> (
-            match Table.lookup tbl classes with
-            | None -> C_none
-            | Some rule -> (
-              match Hashtbl.find_opt t.e_actions rule.Table.action with
-              | None -> C_none
-              | Some a -> C_run (rule, a)))
-        in
-        let len = Hashtbl.length cache in
-        if len >= t.e_cache_cap then begin
-          Tel.Counter.add t.m_cache_evictions len;
-          Hashtbl.reset cache
-        end;
-        Hashtbl.replace cache classes e;
-        e
+          | Some a -> C_run (rule, a)))
     in
-    match entry with
-    | C_none -> ()
-    | C_run (_rule, a) -> (
-      match t.e_breaker with
-      | None ->
+    let len = Hashtbl.length cache in
+    if len >= t.e_cache_cap then begin
+      Tel.Counter.add t.m_cache_evictions len;
+      Hashtbl.reset cache
+    end;
+    Hashtbl.replace cache classes e;
+    e
+
+(* A flow's table-0 resolution, kept in its entry while the generation
+   holds: a hit without even the hash probe. *)
+let flow_resolution t f =
+  if f.f_gen = t.e_gen then begin
+    Tel.Counter.inc t.m_cache_hits;
+    f.f_cached
+  end
+  else begin
+    let e = lookup_cached t 0 f.f_classes in
+    f.f_cached <- e;
+    f.f_gen <- t.e_gen;
+    e
+  end
+
+let rec walk t ~now pkt md msg_id classes out table_id hops =
+  if hops < max_table_hops && table_id >= 0 && table_id < Array.length t.e_caches then
+    run t ~now pkt md msg_id classes out table_id hops (lookup_cached t table_id classes)
+
+(* Run what [table_id] resolved to, then follow the action's goto. *)
+and run t ~now pkt md msg_id classes out table_id hops entry =
+  match entry with
+  | C_none -> ()
+  | C_run (_rule, a) -> (
+    match t.e_breaker with
+    | None ->
+      Tel.Counter.inc t.m_invocations;
+      out.o_goto <- -1;
+      invoke_traced t a pkt md msg_id out ~now;
+      if out.o_goto >= 0 && out.o_goto <> table_id then
+        walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
+    | Some cfg ->
+      (* Quarantined action: matching packets fall through to default
+         forwarding — [out] keeps its reset values, exactly as if no
+         rule had matched (fail-open, but for the whole action). *)
+      if not (brk_admit a.a_brk ~now) then Tel.Counter.inc t.m_quarantined
+      else begin
         Tel.Counter.inc t.m_invocations;
         out.o_goto <- -1;
+        let faults_before = Tel.Counter.get t.m_faults in
         invoke_traced t a pkt md msg_id out ~now;
+        brk_record a.a_brk cfg ~now
+          ~faulted:(Tel.Counter.get t.m_faults > faults_before);
         if out.o_goto >= 0 && out.o_goto <> table_id then
           walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
-      | Some cfg ->
-        (* Quarantined action: matching packets fall through to default
-           forwarding — [out] keeps its reset values, exactly as if no
-           rule had matched (fail-open, but for the whole action). *)
-        if not (brk_admit a.a_brk ~now) then Tel.Counter.inc t.m_quarantined
-        else begin
-          Tel.Counter.inc t.m_invocations;
-          out.o_goto <- -1;
-          let faults_before = Tel.Counter.get t.m_faults in
-          invoke_traced t a pkt md msg_id out ~now;
-          brk_record a.a_brk cfg ~now
-            ~faulted:(Tel.Counter.get t.m_faults > faults_before);
-          if out.o_goto >= 0 && out.o_goto <> table_id then
-            walk t ~now pkt md msg_id classes out out.o_goto (hops + 1)
-        end)
-  end
+      end)
 
 (* [charge_classify] is false for the non-leading packets of a batch
    message group: batching amortizes classification and the metadata
@@ -1248,17 +1337,20 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   if has_stage_metadata && charge_classify then Cost.Accum.add_api t.e_cost t.e_cost_model;
   (* Enclave's own classification: the five-tuple stage. *)
   if charge_classify then Cost.Accum.add_classify t.e_cost t.e_cost_model;
-  let flow_id = flow_msg_id t pkt.Packet.flow in
-  let flow_md =
-    Stage.classify ~msg_id:flow_id t.e_flow_stage
-      (Builtin.flow_descriptor pkt.Packet.flow)
-  in
-  (* Stage metadata wins on conflicts (its msg id identifies the
-     application message); flow classes are merged in. *)
-  let md = Metadata.union flow_md stage_md in
+  let f = flow_entry t pkt.Packet.flow in
+  (* A packet with no stage metadata carries just the flow's
+     classification, and so does one this flow's entry already tagged
+     (a packet processed again); both reuse the entry as it stands. *)
+  let plain = stage_md == f.f_md || Metadata.is_empty stage_md in
+  (* Otherwise stage metadata wins on conflicts (its msg id identifies
+     the application message); flow classes are merged in. *)
+  let md = if plain then f.f_md else Metadata.union f.f_md stage_md in
   pkt.Packet.metadata <- md;
-  let msg_id = match Metadata.msg_id md with Some id -> id | None -> flow_id in
-  let classes = Metadata.classes md in
+  let msg_id =
+    if plain then f.f_id
+    else match Metadata.msg_id md with Some id -> id | None -> f.f_id
+  in
+  let classes = if plain then f.f_classes else Metadata.classes md in
   (if t.e_trace_armed then
      match t.e_trace with
      | Some tr ->
@@ -1269,9 +1361,12 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   let walk_before =
     if t.e_trace_armed then Cost.Accum.overhead_total_ns t.e_cost else 0.0
   in
-  walk t ~now pkt md msg_id classes out 0 0;
-  t.e_last_cost_ns <- Cost.Accum.overhead_total_ns t.e_cost -. cost_before;
-  if t.e_timing then Tel.Histogram.observe t.h_process (int_of_float t.e_last_cost_ns);
+  (* Stage-tagged packets resolve their merged class vector per table;
+     the flow's own vector resolves through its entry. *)
+  run t ~now pkt md msg_id classes out 0 0
+    (if plain then flow_resolution t f else lookup_cached t 0 classes);
+  t.e_last_cost_ns.fc <- Cost.Accum.overhead_total_ns t.e_cost -. cost_before;
+  if t.e_timing then Tel.Histogram.observe t.h_process (int_of_float t.e_last_cost_ns.fc);
   (if t.e_trace_armed then
      match t.e_trace with
      | Some tr ->
@@ -1284,7 +1379,7 @@ let process_one t ~now ~charge_classify (pkt : Packet.t) =
   let finish_trace verdict =
     if t.e_trace_armed then begin
       (match t.e_trace with
-      | Some tr -> Tel.Trace.finish tr ~verdict ~total_ns:t.e_last_cost_ns
+      | Some tr -> Tel.Trace.finish tr ~verdict ~total_ns:t.e_last_cost_ns.fc
       | None -> ());
       t.e_trace_armed <- false
     end
@@ -1344,9 +1439,9 @@ let note_message_end t ~msg_id =
 let note_flow_closed t flow =
   match Addr.Flow_table.find_opt t.e_flow_ids flow with
   | None -> ()
-  | Some id ->
+  | Some f ->
     Addr.Flow_table.remove t.e_flow_ids flow;
-    note_message_end t ~msg_id:id
+    note_message_end t ~msg_id:f.f_id
 
 let expire_messages t ~now ~idle =
   Hashtbl.fold (fun _ a acc -> acc + State.expire a.a_state ~now ~idle) t.e_actions 0

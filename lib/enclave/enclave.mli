@@ -85,7 +85,9 @@ type counters = {
   mutable quarantined : int;
       (** Packets that matched a rule whose action was quarantined by the
           circuit breaker and fell through to default forwarding. *)
-  mutable cache_hits : int;  (** Match-action cache: class vector resolved by probe. *)
+  mutable cache_hits : int;
+      (** Match-action cache: resolution taken from the flow's entry or
+          found by a hash probe. *)
   mutable cache_misses : int;  (** Full table lookups (then memoised). *)
   mutable cache_evictions : int;
       (** Entries dropped when a table cache hit {!flow_cache_capacity}
@@ -121,7 +123,11 @@ val flow_cache_capacity : t -> int
 
 val flow_stage : t -> Eden_stage.Stage.t
 (** The enclave's own packet-header stage; install five-tuple rule-sets
-    here to classify traffic from unmodified applications. *)
+    here to classify traffic from unmodified applications.  The enclave
+    classifies each flow once and keeps the result with the flow, so a
+    rule edit here (through {!Eden_stage.Stage.Api}, or on a rule-set
+    from {!Eden_stage.Stage.find_ruleset}) takes effect on the next
+    packet of every flow, cached or new. *)
 
 val set_enforce : t -> bool -> unit
 (** When [false], action functions run but their outputs are not applied

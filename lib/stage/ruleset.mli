@@ -11,6 +11,8 @@ type rule = {
   rule_id : int;
   classifier : Classifier.t;
   class_name : string;  (** Unqualified; qualified by stage and rule-set. *)
+  qualified : Eden_base.Class_name.t;
+      (** [stage.rule_set.class_name], built once when the rule is added. *)
   metadata_fields : string list;
       (** Descriptor fields to copy into the message metadata, e.g.
           [\["msg_size"; "msg_type"\]].  The message identifier is always
@@ -19,14 +21,21 @@ type rule = {
 
 type t
 
-val create : string -> t
-(** [create id] makes an empty rule-set named [id] (e.g. ["r1"]). *)
+val create : stage:string -> string -> t
+(** [create ~stage id] makes an empty rule-set named [id] (e.g. ["r1"])
+    whose classes are qualified by [stage]. *)
 
 val id : t -> string
 
+val version : t -> int
+(** Counts the rule-set's mutations: every {!add_rule} and every
+    {!remove_rule} that removed a rule bumps it. *)
+
 val add_rule :
   t -> classifier:Classifier.t -> class_name:string -> metadata_fields:string list -> rule
-(** Appends a rule (lowest priority so far) and returns it. *)
+(** Appends a rule (lowest priority so far) and returns it.
+    @raise Invalid_argument when the stage, rule-set id or class name is
+    empty or contains a dot (see {!Eden_base.Class_name.v}). *)
 
 val remove_rule : t -> int -> bool
 (** [remove_rule t rule_id] returns whether a rule was removed. *)

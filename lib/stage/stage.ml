@@ -37,6 +37,20 @@ let new_msg_id t =
 
 let qualified_class t ~ruleset cls = Class_name.v ~stage:t.name ~ruleset ~name:cls
 
+(* Rule-sets are never dropped and each one's version only grows, so the
+   sum moves on every mutation. *)
+let version t = List.fold_left (fun acc rs -> acc + Ruleset.version rs) 0 t.rulesets
+
+(* A rule-set tags every descriptor alike when its first rule matches
+   everything and copies no field. *)
+let descriptor_free t =
+  List.for_all
+    (fun rs ->
+      match Ruleset.rules rs with
+      | [] -> true
+      | r :: _ -> r.Ruleset.classifier = [] && r.Ruleset.metadata_fields = [])
+    t.rulesets
+
 let classify ?msg_id t descriptor =
   let msg_id = match msg_id with Some id -> id | None -> new_msg_id t in
   let md = Metadata.with_msg_id msg_id Metadata.empty in
@@ -45,9 +59,7 @@ let classify ?msg_id t descriptor =
       match Ruleset.classify rs descriptor with
       | None -> md
       | Some rule ->
-        let md =
-          Metadata.add_class (qualified_class t ~ruleset:(Ruleset.id rs) rule.Ruleset.class_name) md
-        in
+        let md = Metadata.add_class rule.Ruleset.qualified md in
         List.fold_left
           (fun md field ->
             match Classifier.Descriptor.find field descriptor with
@@ -76,12 +88,17 @@ module Api = struct
       Error
         (Printf.sprintf "stage %s cannot generate metadata: %s" t.name
            (String.concat ", " unknown_metadata))
+    else if not (Class_name.valid_component ruleset && Class_name.valid_component class_name)
+    then
+      Error
+        (Printf.sprintf "stage %s: rule-set %S and class %S must be non-empty and dot-free"
+           t.name ruleset class_name)
     else begin
       let rs =
         match find_ruleset t ruleset with
         | Some rs -> rs
         | None ->
-          let rs = Ruleset.create ruleset in
+          let rs = Ruleset.create ~stage:t.name ruleset in
           t.rulesets <- t.rulesets @ [ rs ];
           rs
       in

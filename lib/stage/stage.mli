@@ -31,6 +31,18 @@ val find_ruleset : t -> string -> Ruleset.t option
 val new_msg_id : t -> int64
 (** Allocate a fresh message identifier (unique within the stage). *)
 
+val version : t -> int
+(** Changes on every rule-set mutation, whether made through {!Api} or
+    through {!Ruleset.add_rule} / {!Ruleset.remove_rule} on a rule-set
+    from {!rulesets} or {!find_ruleset}.  A cache of {!classify} results
+    stamped with it is current while it reads the same. *)
+
+val descriptor_free : t -> bool
+(** True when {!classify} gives the same classes for every descriptor:
+    each rule-set's first rule has an empty classifier and copies no
+    metadata field (the enclave's built-in [flows.ALL] rule is the common
+    case).  Only the message id then differs between messages. *)
+
 val classify : ?msg_id:int64 -> t -> Classifier.Descriptor.t -> Eden_base.Metadata.t
 (** Run every installed rule-set over the descriptor.  The result carries
     a message id (fresh unless provided), one fully-qualified class per
@@ -53,7 +65,8 @@ module Api : sig
     (int, string) result
   (** S1.  Creates the rule-set on first use.  Rejects classifiers over
       fields the stage cannot classify on and metadata the stage cannot
-      generate; returns the rule id. *)
+      generate, and rule-set or class names that are empty or contain a
+      dot; returns the rule id. *)
 
   val remove_stage_rule : t -> ruleset:string -> rule_id:int -> bool
   (** S2.  Returns whether a rule was removed. *)

@@ -182,6 +182,18 @@ let test_create_rule_validates_metadata_fields () =
   | Ok _ -> Alcotest.fail "expected rejection"
   | Error _ -> ()
 
+let test_create_rule_validates_names () =
+  let st = Builtin.memcached () in
+  List.iter
+    (fun (ruleset, class_name) ->
+      match
+        Stage.Api.create_stage_rule st ~ruleset ~classifier:[] ~class_name ~metadata_fields:[]
+      with
+      | Ok _ -> Alcotest.failf "expected rejection of %S / %S" ruleset class_name
+      | Error _ -> ())
+    [ ("r", "a.b"); ("", "X"); ("r.1", "X"); ("r", "") ];
+  check_int "no rule-set created" 0 (List.length (Stage.rulesets st))
+
 let test_remove_rule () =
   let st = Builtin.memcached () in
   let id =
@@ -287,6 +299,7 @@ let () =
             test_create_rule_validates_classifier_fields;
           Alcotest.test_case "metadata validation" `Quick
             test_create_rule_validates_metadata_fields;
+          Alcotest.test_case "name validation" `Quick test_create_rule_validates_names;
           Alcotest.test_case "remove rule" `Quick test_remove_rule;
         ] );
       ( "builtin",

@@ -14,8 +14,8 @@
      pc, so the stack becomes direct slot addressing: no sp, no
      push/pop, every operand read and written at a byte offset known at
      compile time (and below [stack_limit], so accesses are unchecked);
-   - the operand stack and locals live in a [Bytes.t] of unboxed 8-byte
-     slots accessed through the [%caml_bytes_get64u]/[set64u]
+   - the operand stack, locals and constants live in one [Bytes.t] of
+     unboxed 8-byte slots accessed through the [%caml_bytes_get64u]/[set64u]
      primitives.  An [int64 array] would box every arithmetic result
      and run the write barrier on every store; with raw slots the
      native compiler keeps whole operand chains unboxed, so straight-
@@ -28,7 +28,15 @@
    - locals indices and array-slot numbers were range-checked by the
      verifier, so those accesses are unchecked too;
    - [Gaload_unsafe]/[Gastore_unsafe] keep the bounds proofs the
-     verifier re-derived — no checks on the proved path.
+     verifier re-derived — no checks on the proved path;
+   - operands are fused into their consumers: a [Load]/[Push] feeding a
+     binary operation or an array load inside the same block becomes a
+     direct read of the local or of a constant slot, a [Store] right
+     after such an operation becomes its destination, and a comparison
+     ending in [Jz]/[Jnz] becomes the branch's condition.  Locals,
+     stack slots and constants share one buffer, so every fused operand
+     is one unboxed read at an offset fixed at compile time.  Steps
+     are still charged per source instruction.
 
    Faults, stats and published state are bit-identical to [Interp.run]
    on the same env/now/rng: test/test_compiled.ml enforces this
@@ -43,9 +51,11 @@
 module P = Program
 module Rng = Eden_base.Rng
 
+(* [mem] holds unboxed 8-byte slots: the locals from offset 0, the
+   operand stack from [sbase], then the constants fused operands read. *)
 type state = {
-  stack : Bytes.t; (* stack_limit unboxed int64 slots, 8 bytes each *)
-  locals : Bytes.t; (* n_locals unboxed int64 slots *)
+  mem : Bytes.t;
+  sbase : int;
   mutable env_scalars : int64 array;
   mutable env_arrays : int64 array array;
   mutable heap : int64 array array;
@@ -75,17 +85,17 @@ let aget : int64 array array -> int -> int64 array = Array.unsafe_get
 let slow_run (p : P.t) (st : state) pc0 sp0 =
   let code = p.P.code in
   let len = Array.length code in
-  let stack = st.stack and locals = st.locals in
+  let mem = st.mem and sbase = st.sbase in
   let pc = ref pc0 in
   let sp = ref sp0 in
   let push v =
-    b64set stack (!sp lsl 3) v;
+    b64set mem (sbase + (!sp lsl 3)) v;
     incr sp;
     if !sp > st.max_sp then st.max_sp <- !sp
   in
   let pop () =
     decr sp;
-    b64get stack (!sp lsl 3)
+    b64get mem (sbase + (!sp lsl 3))
   in
   let to_bool v = if Int64.equal v 0L then 0L else 1L in
   let env_array s = st.env_arrays.(s) in
@@ -131,8 +141,8 @@ let slow_run (p : P.t) (st : state) pc0 sp0 =
       let a = pop () in
       push b;
       push a
-    | Opcode.Load i -> push (b64get locals (i lsl 3))
-    | Opcode.Store i -> b64set locals (i lsl 3) (pop ())
+    | Opcode.Load i -> push (b64get mem (i lsl 3))
+    | Opcode.Store i -> b64set mem (i lsl 3) (pop ())
     | Opcode.Add ->
       let b = pop () and a = pop () in
       push (Int64.add a b)
@@ -237,174 +247,186 @@ let slow_run (p : P.t) (st : state) pc0 sp0 =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: one closure per instruction, chained within a basic block;
-   blocks linked through patchable refs.  [d] is the statically known
-   operand-stack depth before the instruction; [k] the next closure;
-   [die] corrects the block's bulk step charge and the deferred stack
-   peak before raising a mid-block fault.  Stack-slot and local byte
-   offsets are fixed here, at compile time. *)
+(* Fast path: one closure per instruction, or per fused group, chained
+   within a basic block; blocks linked through patchable refs.  [d] is
+   the statically known operand-stack depth before the instruction.  A
+   binary operation reads its operands at memory offsets [a] and [b] and
+   writes its result at [dst]; an array load reads its index at [b] and
+   writes at [dst].  Unfused, these are the stack slots the instruction
+   pops and pushes.  [k] is the next closure; [die] corrects the block's
+   bulk step charge and the deferred stack peak before raising a
+   mid-block fault.  Every offset is fixed here, at compile time. *)
 
-let comp_instr (p : P.t) ~pc ~d ~(k : state -> unit) ~(die : state -> Interp.fault -> unit) :
-    state -> unit =
+let comp_instr (p : P.t) ~sbase ~pc ~d ~a ~b ~dst ~(k : state -> unit)
+    ~(die : state -> Interp.fault -> unit) : state -> unit =
   let heap_limit = p.P.heap_limit in
-  (* Byte offsets of the slot at depth d and the one/two/three below. *)
-  let o0 = d lsl 3 in
-  let o1 = (d - 1) lsl 3 in
-  let o2 = (d - 2) lsl 3 in
-  let o3 = (d - 3) lsl 3 in
+  (* Offsets of the stack slot at depth d and the one/two/three below. *)
+  let o0 = sbase + (d lsl 3) in
+  let o1 = sbase + ((d - 1) lsl 3) in
+  let o2 = sbase + ((d - 2) lsl 3) in
+  let o3 = sbase + ((d - 3) lsl 3) in
   match p.P.code.(pc) with
   | Opcode.Push v ->
     fun st ->
-      b64set st.stack o0 v;
+      b64set st.mem o0 v;
       k st
   | Opcode.Pop -> k (* the value simply drops below the live depth *)
   | Opcode.Dup ->
     fun st ->
-      b64set st.stack o0 (b64get st.stack o1);
+      b64set st.mem o0 (b64get st.mem o1);
       k st
   | Opcode.Swap ->
     fun st ->
-      let a = b64get st.stack o2 and b = b64get st.stack o1 in
-      b64set st.stack o2 b;
-      b64set st.stack o1 a;
+      let m = st.mem in
+      let x = b64get m o2 and y = b64get m o1 in
+      b64set m o2 y;
+      b64set m o1 x;
       k st
   | Opcode.Load i ->
     let oi = i lsl 3 in
     fun st ->
-      b64set st.stack o0 (b64get st.locals oi);
+      b64set st.mem o0 (b64get st.mem oi);
       k st
   | Opcode.Store i ->
     let oi = i lsl 3 in
     fun st ->
-      b64set st.locals oi (b64get st.stack o1);
+      b64set st.mem oi (b64get st.mem o1);
       k st
   | Opcode.Add ->
     fun st ->
-      b64set st.stack o2 (Int64.add (b64get st.stack o2) (b64get st.stack o1));
+      let m = st.mem in
+      b64set m dst (Int64.add (b64get m a) (b64get m b));
       k st
   | Opcode.Sub ->
     fun st ->
-      b64set st.stack o2 (Int64.sub (b64get st.stack o2) (b64get st.stack o1));
+      let m = st.mem in
+      b64set m dst (Int64.sub (b64get m a) (b64get m b));
       k st
   | Opcode.Mul ->
     fun st ->
-      b64set st.stack o2 (Int64.mul (b64get st.stack o2) (b64get st.stack o1));
+      let m = st.mem in
+      b64set m dst (Int64.mul (b64get m a) (b64get m b));
       k st
   | Opcode.Div ->
     fun st ->
-      let b = b64get st.stack o1 in
-      if Int64.equal b 0L then die st (Interp.Division_by_zero { pc })
+      let m = st.mem in
+      let y = b64get m b in
+      if Int64.equal y 0L then die st (Interp.Division_by_zero { pc })
       else begin
-        b64set st.stack o2 (Int64.div (b64get st.stack o2) b);
+        b64set m dst (Int64.div (b64get m a) y);
         k st
       end
   | Opcode.Rem ->
     fun st ->
-      let b = b64get st.stack o1 in
-      if Int64.equal b 0L then die st (Interp.Division_by_zero { pc })
+      let m = st.mem in
+      let y = b64get m b in
+      if Int64.equal y 0L then die st (Interp.Division_by_zero { pc })
       else begin
-        b64set st.stack o2 (Int64.rem (b64get st.stack o2) b);
+        b64set m dst (Int64.rem (b64get m a) y);
         k st
       end
   | Opcode.Neg ->
     fun st ->
-      b64set st.stack o1 (Int64.neg (b64get st.stack o1));
+      b64set st.mem o1 (Int64.neg (b64get st.mem o1));
       k st
   | Opcode.Band ->
     fun st ->
-      b64set st.stack o2 (Int64.logand (b64get st.stack o2) (b64get st.stack o1));
+      let m = st.mem in
+      b64set m dst (Int64.logand (b64get m a) (b64get m b));
       k st
   | Opcode.Bor ->
     fun st ->
-      b64set st.stack o2 (Int64.logor (b64get st.stack o2) (b64get st.stack o1));
+      let m = st.mem in
+      b64set m dst (Int64.logor (b64get m a) (b64get m b));
       k st
   | Opcode.Bxor ->
     fun st ->
-      b64set st.stack o2 (Int64.logxor (b64get st.stack o2) (b64get st.stack o1));
+      let m = st.mem in
+      b64set m dst (Int64.logxor (b64get m a) (b64get m b));
       k st
   | Opcode.Shl ->
     fun st ->
-      b64set st.stack o2
-        (Int64.shift_left (b64get st.stack o2) (Int64.to_int (b64get st.stack o1) land 63));
+      let m = st.mem in
+      b64set m dst (Int64.shift_left (b64get m a) (Int64.to_int (b64get m b) land 63));
       k st
   | Opcode.Shr ->
     fun st ->
-      b64set st.stack o2
-        (Int64.shift_right_logical (b64get st.stack o2)
-           (Int64.to_int (b64get st.stack o1) land 63));
+      let m = st.mem in
+      b64set m dst
+        (Int64.shift_right_logical (b64get m a) (Int64.to_int (b64get m b) land 63));
       k st
   | Opcode.Not ->
     fun st ->
-      b64set st.stack o1 (if Int64.equal (b64get st.stack o1) 0L then 1L else 0L);
+      b64set st.mem o1 (if Int64.equal (b64get st.mem o1) 0L then 1L else 0L);
       k st
   | Opcode.Eq ->
     fun st ->
-      b64set st.stack o2
-        (if Int64.equal (b64get st.stack o2) (b64get st.stack o1) then 1L else 0L);
+      let m = st.mem in
+      b64set m dst (if Int64.equal (b64get m a) (b64get m b) then 1L else 0L);
       k st
   | Opcode.Ne ->
     fun st ->
-      b64set st.stack o2
-        (if Int64.equal (b64get st.stack o2) (b64get st.stack o1) then 0L else 1L);
+      let m = st.mem in
+      b64set m dst (if Int64.equal (b64get m a) (b64get m b) then 0L else 1L);
       k st
   | Opcode.Lt ->
     fun st ->
-      b64set st.stack o2
-        (if Int64.compare (b64get st.stack o2) (b64get st.stack o1) < 0 then 1L else 0L);
+      let m = st.mem in
+      b64set m dst (if Int64.compare (b64get m a) (b64get m b) < 0 then 1L else 0L);
       k st
   | Opcode.Le ->
     fun st ->
-      b64set st.stack o2
-        (if Int64.compare (b64get st.stack o2) (b64get st.stack o1) <= 0 then 1L else 0L);
+      let m = st.mem in
+      b64set m dst (if Int64.compare (b64get m a) (b64get m b) <= 0 then 1L else 0L);
       k st
   | Opcode.Gt ->
     fun st ->
-      b64set st.stack o2
-        (if Int64.compare (b64get st.stack o2) (b64get st.stack o1) > 0 then 1L else 0L);
+      let m = st.mem in
+      b64set m dst (if Int64.compare (b64get m a) (b64get m b) > 0 then 1L else 0L);
       k st
   | Opcode.Ge ->
     fun st ->
-      b64set st.stack o2
-        (if Int64.compare (b64get st.stack o2) (b64get st.stack o1) >= 0 then 1L else 0L);
+      let m = st.mem in
+      b64set m dst (if Int64.compare (b64get m a) (b64get m b) >= 0 then 1L else 0L);
       k st
   | Opcode.Gaload s ->
     fun st ->
       let arr = aget st.env_arrays s in
-      let i = Int64.to_int (b64get st.stack o1) in
+      let i = Int64.to_int (b64get st.mem b) in
       if i < 0 || i >= Array.length arr then
         die st (Interp.Array_bounds { pc; index = i; length = Array.length arr })
       else begin
-        b64set st.stack o1 (Array.unsafe_get arr i);
+        b64set st.mem dst (Array.unsafe_get arr i);
         k st
       end
   | Opcode.Gastore s ->
     fun st ->
       let arr = aget st.env_arrays s in
-      let i = Int64.to_int (b64get st.stack o2) in
+      let i = Int64.to_int (b64get st.mem o2) in
       if i < 0 || i >= Array.length arr then
         die st (Interp.Array_bounds { pc; index = i; length = Array.length arr })
       else begin
-        Array.unsafe_set arr i (b64get st.stack o1);
+        Array.unsafe_set arr i (b64get st.mem o1);
         k st
       end
   | Opcode.Gaload_unsafe s ->
     fun st ->
-      b64set st.stack o1
-        (Array.unsafe_get (aget st.env_arrays s) (Int64.to_int (b64get st.stack o1)));
+      b64set st.mem dst
+        (Array.unsafe_get (aget st.env_arrays s) (Int64.to_int (b64get st.mem b)));
       k st
   | Opcode.Gastore_unsafe s ->
     fun st ->
       Array.unsafe_set (aget st.env_arrays s)
-        (Int64.to_int (b64get st.stack o2))
-        (b64get st.stack o1);
+        (Int64.to_int (b64get st.mem o2))
+        (b64get st.mem o1);
       k st
   | Opcode.Galen s ->
     fun st ->
-      b64set st.stack o0 (Int64.of_int (Array.length (aget st.env_arrays s)));
+      b64set st.mem o0 (Int64.of_int (Array.length (aget st.env_arrays s)));
       k st
   | Opcode.Newarr ->
     fun st ->
-      let n = Int64.to_int (b64get st.stack o1) in
+      let n = Int64.to_int (b64get st.mem o1) in
       if n < 0 then die st (Interp.Negative_array_length { pc; length = n })
       else if st.heap_cells + n > heap_limit then
         die st (Interp.Heap_exhausted { pc; requested = n; limit = heap_limit })
@@ -416,76 +438,120 @@ let comp_instr (p : P.t) ~pc ~d ~(k : state -> unit) ~(die : state -> Interp.fau
         end;
         st.heap.(st.n_heap) <- Array.make n 0L;
         st.heap_cells <- st.heap_cells + n;
-        b64set st.stack o1 (Int64.of_int st.n_heap);
+        b64set st.mem o1 (Int64.of_int st.n_heap);
         st.n_heap <- st.n_heap + 1;
         k st
       end
   | Opcode.Aload ->
     fun st ->
-      let r = Int64.to_int (b64get st.stack o2) in
+      let r = Int64.to_int (b64get st.mem o2) in
       if r < 0 || r >= st.n_heap then die st (Interp.Invalid_reference { pc })
       else begin
         let arr = aget st.heap r in
-        let i = Int64.to_int (b64get st.stack o1) in
+        let i = Int64.to_int (b64get st.mem o1) in
         if i < 0 || i >= Array.length arr then
           die st (Interp.Array_bounds { pc; index = i; length = Array.length arr })
         else begin
-          b64set st.stack o2 (Array.unsafe_get arr i);
+          b64set st.mem o2 (Array.unsafe_get arr i);
           k st
         end
       end
   | Opcode.Astore ->
     fun st ->
-      let r = Int64.to_int (b64get st.stack o3) in
+      let r = Int64.to_int (b64get st.mem o3) in
       if r < 0 || r >= st.n_heap then die st (Interp.Invalid_reference { pc })
       else begin
         let arr = aget st.heap r in
-        let i = Int64.to_int (b64get st.stack o2) in
+        let i = Int64.to_int (b64get st.mem o2) in
         if i < 0 || i >= Array.length arr then
           die st (Interp.Array_bounds { pc; index = i; length = Array.length arr })
         else begin
-          Array.unsafe_set arr i (b64get st.stack o1);
+          Array.unsafe_set arr i (b64get st.mem o1);
           k st
         end
       end
   | Opcode.Alen ->
     fun st ->
-      let r = Int64.to_int (b64get st.stack o1) in
+      let r = Int64.to_int (b64get st.mem o1) in
       if r < 0 || r >= st.n_heap then die st (Interp.Invalid_reference { pc })
       else begin
-        b64set st.stack o1 (Int64.of_int (Array.length (aget st.heap r)));
+        b64set st.mem o1 (Int64.of_int (Array.length (aget st.heap r)));
         k st
       end
   | Opcode.Rand ->
     fun st ->
-      let bound = b64get st.stack o1 in
+      let bound = b64get st.mem o1 in
       if Int64.compare bound 0L <= 0 then die st (Interp.Bad_random_bound { pc; bound })
       else begin
-        b64set st.stack o1 (Int64.of_int (Rng.int st.rng (Int64.to_int bound)));
+        b64set st.mem o1 (Int64.of_int (Rng.int st.rng (Int64.to_int bound)));
         k st
       end
   | Opcode.Clock ->
     fun st ->
-      b64set st.stack o0 st.now_ns;
+      b64set st.mem o0 st.now_ns;
       k st
   | Opcode.Hashmix ->
     fun st ->
-      let m =
+      let m = st.mem in
+      let h =
         Int64.mul
-          (Int64.logxor (Int64.mul (b64get st.stack o2) 0x9E3779B97F4A7C15L)
-             (b64get st.stack o1))
+          (Int64.logxor (Int64.mul (b64get m a) 0x9E3779B97F4A7C15L) (b64get m b))
           0xBF58476D1CE4E5B9L
       in
-      b64set st.stack o2 (Int64.logxor m (Int64.shift_right_logical m 31));
+      b64set m dst (Int64.logxor h (Int64.shift_right_logical h 31));
       k st
   | Opcode.Jmp _ | Opcode.Jz _ | Opcode.Jnz _ | Opcode.Halt ->
     (* Block terminators are compiled by [build], never here. *)
     assert false
 
-(* ------------------------------------------------------------------ *)
-(* Block discovery and threading *)
+(* A conditional branch on [a CMP b], [cmp] one of the comparisons:
+   [tt] when it holds, [ff] when not. *)
+let comp_branch cmp ~a ~b ~upd ~(tt : (state -> unit) ref) ~(ff : (state -> unit) ref) :
+    state -> unit =
+  match cmp with
+  | Opcode.Eq ->
+    fun st ->
+      upd st;
+      if Int64.equal (b64get st.mem a) (b64get st.mem b) then !tt st else !ff st
+  | Opcode.Ne ->
+    fun st ->
+      upd st;
+      if Int64.equal (b64get st.mem a) (b64get st.mem b) then !ff st else !tt st
+  | Opcode.Lt ->
+    fun st ->
+      upd st;
+      if Int64.compare (b64get st.mem a) (b64get st.mem b) < 0 then !tt st else !ff st
+  | Opcode.Le ->
+    fun st ->
+      upd st;
+      if Int64.compare (b64get st.mem a) (b64get st.mem b) <= 0 then !tt st else !ff st
+  | Opcode.Gt ->
+    fun st ->
+      upd st;
+      if Int64.compare (b64get st.mem a) (b64get st.mem b) > 0 then !tt st else !ff st
+  | Opcode.Ge ->
+    fun st ->
+      upd st;
+      if Int64.compare (b64get st.mem a) (b64get st.mem b) >= 0 then !tt st else !ff st
+  | _ -> invalid_arg "Compiled.comp_branch: not a comparison"
 
-let build (p : P.t) : state -> unit =
+(* ------------------------------------------------------------------ *)
+(* Block discovery, operand fusion and threading *)
+
+let is_binary = function
+  | Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem | Opcode.Band | Opcode.Bor
+  | Opcode.Bxor | Opcode.Shl | Opcode.Shr | Opcode.Eq | Opcode.Ne | Opcode.Lt | Opcode.Le
+  | Opcode.Gt | Opcode.Ge | Opcode.Hashmix ->
+    true
+  | _ -> false
+
+let is_comparison = function
+  | Opcode.Eq | Opcode.Ne | Opcode.Lt | Opcode.Le | Opcode.Gt | Opcode.Ge -> true
+  | _ -> false
+
+(* Returns the entry closure and the constants fused operands read, in
+   slot order from [cbase]. *)
+let build (p : P.t) ~sbase ~cbase : (state -> unit) * int64 list =
   let code = p.P.code in
   let len = Array.length code in
   (* Static operand-stack depth before each reachable pc (the verifier
@@ -524,16 +590,28 @@ let build (p : P.t) : state -> unit =
       | _ -> ()
     end
   done;
-  let entries =
-    Array.init len (fun _ -> ref (fun (_ : state) -> assert false))
+  let entries = Array.init len (fun _ -> ref (fun (_ : state) -> assert false)) in
+  let finish = ref (fun (_ : state) -> ()) in
+  (* Control transfer to pc [t]; [t = len] is normal completion. *)
+  let target t = if t >= len then finish else entries.(t) in
+  let slot d = sbase + (d lsl 3) in
+  let consts = ref [] and n_consts = ref 0 in
+  let const v =
+    let o = cbase + (!n_consts lsl 3) in
+    consts := v :: !consts;
+    incr n_consts;
+    o
   in
-  (* Transfer control to pc [t]; [t = len] is normal completion. *)
-  let jump_to t : state -> unit =
-    if t >= len then fun _ -> ()
-    else begin
-      let r = entries.(t) in
-      fun st -> !r st
-    end
+  (* Operand fusion, per block: [absorbed.(pc)] marks an instruction
+     folded into a neighbour; [fa]/[fb]/[fdst] are the operand and
+     result offsets of each binary operation and array load. *)
+  let absorbed = Array.make len false in
+  let fa = Array.make len 0 and fb = Array.make len 0 and fdst = Array.make len 0 in
+  let leaf pc =
+    match code.(pc) with
+    | Opcode.Load i -> Some (i lsl 3)
+    | Opcode.Push v -> Some (const v)
+    | _ -> None
   in
   let block_end l =
     let rec go pc =
@@ -543,9 +621,76 @@ let build (p : P.t) : state -> unit =
     in
     go l
   in
+  (* First pc of the fused group ending at each pc. *)
+  let first = Array.init len Fun.id in
+  let fuse l e =
+    (* An operand's producer sits right before its consumer; the left
+       operand's producer right before the right one's group. *)
+    let take pc = if pc >= l && not absorbed.(pc) then leaf pc else None in
+    (* The group ending at [pc], if it only pushes one value and writes
+       no local: the left operand's producer may then precede it. *)
+    let pushes_one pc =
+      pc >= l
+      && (not absorbed.(pc))
+      &&
+      match code.(pc) with
+      | Opcode.Galen _ | Opcode.Clock -> true
+      | Opcode.Gaload _ | Opcode.Gaload_unsafe _ -> first.(pc) < pc && fdst.(pc) >= sbase
+      | op -> is_binary op && first.(pc) < pc - 1 && fdst.(pc) >= sbase
+    in
+    let store_after pc =
+      if pc + 1 <= e then
+        match code.(pc + 1) with
+        | Opcode.Store j ->
+          absorbed.(pc + 1) <- true;
+          fdst.(pc) <- j lsl 3
+        | _ -> ()
+    in
+    for i = l to e do
+      let d = depth.(i) in
+      let op = code.(i) in
+      if is_binary op then begin
+        fa.(i) <- slot (d - 2);
+        fb.(i) <- slot (d - 1);
+        fdst.(i) <- slot (d - 2);
+        (match take (i - 1) with
+        | Some o ->
+          absorbed.(i - 1) <- true;
+          first.(i) <- i - 1;
+          fb.(i) <- o
+        | None -> ());
+        let g =
+          if first.(i) < i then i - 1 else if pushes_one (i - 1) then first.(i - 1) else -1
+        in
+        (if g >= 0 then
+           match take (g - 1) with
+           | Some o ->
+             absorbed.(g - 1) <- true;
+             if first.(i) < i then first.(i) <- g - 1;
+             fa.(i) <- o
+           | None -> ());
+        store_after i
+      end
+      else begin
+        match op with
+        | Opcode.Gaload _ | Opcode.Gaload_unsafe _ ->
+          fb.(i) <- slot (d - 1);
+          fdst.(i) <- slot (d - 1);
+          (match take (i - 1) with
+          | Some o ->
+            absorbed.(i - 1) <- true;
+            first.(i) <- i - 1;
+            fb.(i) <- o
+          | None -> ());
+          store_after i
+        | _ -> ()
+      end
+    done
+  in
   let compile_block l =
     let e = block_end l in
     let n = e - l + 1 in
+    fuse l e;
     (* Peak depth inside the block and its per-instruction prefixes; the
        peak is folded into [max_sp] once, at block exit (or, corrected,
        at a fault site), never per push. *)
@@ -563,41 +708,38 @@ let build (p : P.t) : state -> unit =
         if mupto > st.max_sp then st.max_sp <- mupto;
         raise (F f)
     in
-    let last : state -> unit =
-      let d = depth.(e) in
-      let o1 = (d - 1) lsl 3 in
-      match code.(e) with
-      | Opcode.Jmp t ->
-        let g = jump_to t in
-        fun st ->
-          upd st;
-          g st
-      | Opcode.Halt -> upd
-      | Opcode.Jz t ->
-        let g = jump_to t and h = jump_to (e + 1) in
-        fun st ->
-          upd st;
-          if Int64.equal (b64get st.stack o1) 0L then g st else h st
-      | Opcode.Jnz t ->
-        let g = jump_to t and h = jump_to (e + 1) in
-        fun st ->
-          upd st;
-          if Int64.equal (b64get st.stack o1) 0L then h st else g st
-      | _ ->
-        let k =
-          if e + 1 >= len then upd
-          else begin
-            let g = jump_to (e + 1) in
-            fun st ->
-              upd st;
-              g st
-          end
-        in
-        comp_instr p ~pc:e ~d ~k ~die:(die_for (e - l))
+    let goto r =
+      fun st ->
+        upd st;
+        !r st
     in
-    let body = ref last in
-    for pc = e - 1 downto l do
-      body := comp_instr p ~pc ~d:depth.(pc) ~k:!body ~die:(die_for (pc - l))
+    let exit_k, body_end =
+      match code.(e) with
+      | Opcode.Jmp t -> (goto (target t), e - 1)
+      | Opcode.Halt -> (upd, e - 1)
+      | (Opcode.Jz t | Opcode.Jnz t) as op ->
+        let g = target t and h = target (e + 1) in
+        (* Continuations when the popped value is non-zero / zero. *)
+        let tt, ff = match op with Opcode.Jz _ -> (h, g) | _ -> (g, h) in
+        if e > l && is_comparison code.(e - 1) && not absorbed.(e - 1) then begin
+          absorbed.(e - 1) <- true;
+          (comp_branch code.(e - 1) ~a:fa.(e - 1) ~b:fb.(e - 1) ~upd ~tt ~ff, e - 1)
+        end
+        else begin
+          let o1 = slot (depth.(e) - 1) in
+          ( (fun st ->
+              upd st;
+              if Int64.equal (b64get st.mem o1) 0L then !ff st else !tt st),
+            e - 1 )
+        end
+      | _ -> ((if e + 1 >= len then upd else goto (target (e + 1))), e)
+    in
+    let body = ref exit_k in
+    for pc = body_end downto l do
+      if not absorbed.(pc) then
+        body :=
+          comp_instr p ~sbase ~pc ~d:depth.(pc) ~a:fa.(pc) ~b:fb.(pc) ~dst:fdst.(pc) ~k:!body
+            ~die:(die_for (pc - l))
     done;
     let body = !body in
     let entry_depth = depth.(l) in
@@ -614,7 +756,7 @@ let build (p : P.t) : state -> unit =
   for pc = 0 to len - 1 do
     if leader.(pc) && depth.(pc) >= 0 then compile_block pc
   done;
-  !(entries.(0))
+  (!(entries.(0)), List.rev !consts)
 
 (* ------------------------------------------------------------------ *)
 (* Public interface *)
@@ -627,10 +769,15 @@ let compile ?strict (p : P.t) =
   match Verifier.analyse ?strict p with
   | Error e -> Error e
   | Ok _ ->
+    let sbase = 8 * max p.P.n_locals 1 in
+    let cbase = sbase + (8 * max p.P.stack_limit 1) in
+    let entry, consts = build p ~sbase ~cbase in
+    let mem = Bytes.make (cbase + (8 * List.length consts)) '\000' in
+    List.iteri (fun i v -> b64set mem (cbase + (i lsl 3)) v) consts;
     let st =
       {
-        stack = Bytes.make (8 * max p.P.stack_limit 1) '\000';
-        locals = Bytes.make (8 * max p.P.n_locals 1) '\000';
+        mem;
+        sbase;
         env_scalars = [||];
         env_arrays = [||];
         heap = Array.make 16 [||];
@@ -642,7 +789,7 @@ let compile ?strict (p : P.t) =
         rng = Rng.create 0L;
       }
     in
-    Ok { cp_program = p; cp_entry = build p; cp_state = st }
+    Ok { cp_program = p; cp_entry = entry; cp_state = st }
 
 let exec t ~(env : Interp.env) ~now ~rng =
   let p = t.cp_program in
@@ -660,10 +807,10 @@ let exec t ~(env : Interp.env) ~now ~rng =
   st.heap_cells <- 0;
   st.steps <- 0;
   st.max_sp <- 0;
-  Bytes.fill st.locals 0 (Bytes.length st.locals) '\000';
+  Bytes.fill st.mem 0 st.sbase '\000';
   let scalar_slots = p.P.scalar_slots in
   for i = 0 to Array.length scalar_slots - 1 do
-    b64set st.locals ((Array.unsafe_get scalar_slots i).P.s_local lsl 3)
+    b64set st.mem ((Array.unsafe_get scalar_slots i).P.s_local lsl 3)
       (Array.unsafe_get env.Interp.scalars i)
   done;
   match t.cp_entry st with
@@ -673,7 +820,7 @@ let exec t ~(env : Interp.env) ~now ~rng =
     for i = 0 to Array.length scalar_slots - 1 do
       let s = Array.unsafe_get scalar_slots i in
       if s.P.s_access = P.Read_write then
-        Array.unsafe_set env.Interp.scalars i (b64get st.locals (s.P.s_local lsl 3))
+        Array.unsafe_set env.Interp.scalars i (b64get st.mem (s.P.s_local lsl 3))
     done;
     None
   | exception F f -> Some f

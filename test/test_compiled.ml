@@ -172,6 +172,104 @@ let test_step_limit_boundaries () =
     | Error msg -> Alcotest.failf "step_limit=%d: %s" limit msg
   done
 
+(* ------------------------------------------------------------------ *)
+(* Operand fusion: every binary operation, comparison branch and array
+   load fed by every kind of operand producer (local, constant, a
+   computed value, an array length, an array load, a producer behind an
+   unfused barrier), over small values so that equal operands, zero
+   divisors and out-of-range indices all occur. *)
+
+let fusion_operands =
+  [
+    [ Op.Load 1 ];
+    [ Op.Load 2 ];
+    [ Op.Push (-1L) ];
+    [ Op.Push 0L ];
+    [ Op.Push 1L ];
+    [ Op.Load 1; Op.Push 1L; Op.Add ];
+    [ Op.Galen 0 ];
+    [ Op.Load 2; Op.Gaload 0 ];
+    [ Op.Load 2; Op.Pop; Op.Load 1 ];
+  ]
+
+let fusion_binary =
+  [
+    Op.Add; Op.Sub; Op.Mul; Op.Div; Op.Rem; Op.Band; Op.Bor; Op.Bxor; Op.Shl; Op.Shr; Op.Eq;
+    Op.Ne; Op.Lt; Op.Le; Op.Gt; Op.Ge; Op.Hashmix;
+  ]
+
+let fusion_programs () =
+  let slot i name =
+    { Program.s_name = name; s_entity = Program.Packet; s_access = Program.Read_write;
+      s_local = i }
+  in
+  let scalar_slots = [| slot 0 "Out"; slot 1 "X"; slot 2 "Y" |] in
+  let array_slots =
+    [| { Program.a_name = "A"; a_entity = Program.Global; a_access = Program.Read_only;
+         a_min_len = 0 } |]
+  in
+  let prog code =
+    Program.make ~name:"fusion" ~code:(Array.of_list code) ~scalar_slots ~array_slots
+      ~n_locals:3 ~stack_limit:8 ~heap_limit:8 ~step_limit:1000 ()
+  in
+  let pairs = List.concat_map (fun l -> List.map (fun r -> l @ r) fusion_operands) fusion_operands in
+  let values =
+    (* result into a local, into the stack (consumed later), and both
+       operands of an array load *)
+    List.concat_map
+      (fun ops ->
+        List.concat_map
+          (fun op ->
+            [
+              prog (ops @ [ op; Op.Store 0 ]);
+              prog (ops @ [ op; Op.Store 1 ]);
+              prog (ops @ [ op; Op.Push 3L; Op.Add; Op.Store 0 ]);
+            ])
+          fusion_binary)
+      pairs
+  in
+  let branches =
+    List.concat_map
+      (fun ops ->
+        List.concat_map
+          (fun cmp ->
+            List.map
+              (fun jump ->
+                let n = List.length ops + 2 in
+                (* if ... then Out := 1 else Out := 2 *)
+                prog
+                  (ops
+                  @ [ cmp; jump (n + 3); Op.Push 1L; Op.Store 0; Op.Jmp (n + 5); Op.Push 2L;
+                      Op.Store 0 ]))
+              [ (fun t -> Op.Jz t); (fun t -> Op.Jnz t) ])
+          [ Op.Eq; Op.Ne; Op.Lt; Op.Le; Op.Gt; Op.Ge ])
+      pairs
+  in
+  let loads =
+    List.map (fun idx -> prog (idx @ [ Op.Gaload 0; Op.Store 0 ])) fusion_operands
+  in
+  values @ branches @ loads
+
+let test_fusion_differential () =
+  let small = [ -1L; 0L; 1L; 2L ] in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              let env =
+                Interp.make_env p ~scalars:[| 7L; x; y |] ~arrays:[| [| -1L; 0L; 1L |] |]
+              in
+              match differential p env with
+              | Ok () -> ()
+              | Error msg ->
+                Alcotest.failf "X=%Ld Y=%Ld: %s@.program: %s" x y msg
+                  (Format.asprintf "%a" Program.pp p))
+            small)
+        small)
+    (fusion_programs ())
+
 let test_compile_rejects_like_verifier () =
   let bad = [| Op.Add |] in
   let p =
@@ -429,6 +527,7 @@ let engine_suites =
       [
         Alcotest.test_case "examples differential" `Quick test_examples_differential;
         Alcotest.test_case "step-limit boundaries" `Quick test_step_limit_boundaries;
+        Alcotest.test_case "operand fusion differential" `Quick test_fusion_differential;
         Alcotest.test_case "compile rejects unverifiable" `Quick
           test_compile_rejects_like_verifier;
         Alcotest.test_case "exec accessors" `Quick test_exec_accessors;

@@ -1,11 +1,10 @@
 (** The install-time analysis pipeline (effects → optimize → compile →
-    bounds-harden → re-verify → cost).
+    verify → cost).
 
-    [run schema action] returns the full {!Report.t} plus the hardened
+    [run schema action] returns the full {!Report.t} plus the compiled
     program — the one a controller should actually ship to enclaves:
     semantically identical to compiling [action] directly, but with
-    optimized code, proved array accesses rewritten to unchecked opcodes
-    and a strict verifier pass already survived. *)
+    optimized code and a strict verifier pass already survived. *)
 
 type error =
   | Rejected of string list

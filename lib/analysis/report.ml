@@ -8,7 +8,6 @@ type t = {
   r_nodes_after : int;
   r_code_len : int;
   r_max_stack : int;
-  r_bounds : Bounds.t;
   r_cost : Cost.t;
 }
 
@@ -23,7 +22,6 @@ let pp fmt r =
   Format.fprintf fmt "optimizer: %d -> %d AST nodes@," r.r_nodes_before r.r_nodes_after;
   Format.fprintf fmt "bytecode: %d instructions, max stack %d@," r.r_code_len
     r.r_max_stack;
-  Format.fprintf fmt "bounds:@,%a" Bounds.pp r.r_bounds;
   Format.fprintf fmt "cost:@,%a" Cost.pp r.r_cost;
   Format.fprintf fmt "@]"
 

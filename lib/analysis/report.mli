@@ -13,7 +13,6 @@ type t = {
   r_nodes_after : int;
   r_code_len : int;
   r_max_stack : int;
-  r_bounds : Bounds.t;
   r_cost : Cost.t;
 }
 

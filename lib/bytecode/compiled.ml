@@ -27,8 +27,6 @@
      block exit;
    - locals indices and array-slot numbers were range-checked by the
      verifier, so those accesses are unchecked too;
-   - [Gaload_unsafe]/[Gastore_unsafe] keep the bounds proofs the
-     verifier re-derived — no checks on the proved path;
    - operands are fused into their consumers: a [Load]/[Push] feeding a
      binary operation or an array load inside the same block becomes a
      direct read of the local or of a constant slot, a [Store] right
@@ -209,13 +207,6 @@ let slow_run (p : P.t) (st : state) pc0 sp0 =
       let arr = env_array s in
       check_index arr i;
       arr.(i) <- v
-    | Opcode.Gaload_unsafe s ->
-      let i = Int64.to_int (pop ()) in
-      push (Array.unsafe_get (env_array s) i)
-    | Opcode.Gastore_unsafe s ->
-      let v = pop () in
-      let i = Int64.to_int (pop ()) in
-      Array.unsafe_set (env_array s) i v
     | Opcode.Galen s -> push (Int64.of_int (Array.length (env_array s)))
     | Opcode.Newarr -> push (alloc (Int64.to_int (pop ())))
     | Opcode.Aload ->
@@ -409,17 +400,6 @@ let comp_instr (p : P.t) ~sbase ~pc ~d ~a ~b ~dst ~(k : state -> unit)
         Array.unsafe_set arr i (b64get st.mem o1);
         k st
       end
-  | Opcode.Gaload_unsafe s ->
-    fun st ->
-      b64set st.mem dst
-        (Array.unsafe_get (aget st.env_arrays s) (Int64.to_int (b64get st.mem b)));
-      k st
-  | Opcode.Gastore_unsafe s ->
-    fun st ->
-      Array.unsafe_set (aget st.env_arrays s)
-        (Int64.to_int (b64get st.mem o2))
-        (b64get st.mem o1);
-      k st
   | Opcode.Galen s ->
     fun st ->
       b64set st.mem o0 (Int64.of_int (Array.length (aget st.env_arrays s)));
@@ -635,7 +615,7 @@ let build (p : P.t) ~sbase ~cbase : (state -> unit) * int64 list =
       &&
       match code.(pc) with
       | Opcode.Galen _ | Opcode.Clock -> true
-      | Opcode.Gaload _ | Opcode.Gaload_unsafe _ -> first.(pc) < pc && fdst.(pc) >= sbase
+      | Opcode.Gaload _ -> first.(pc) < pc && fdst.(pc) >= sbase
       | op -> is_binary op && first.(pc) < pc - 1 && fdst.(pc) >= sbase
     in
     let store_after pc =
@@ -673,7 +653,7 @@ let build (p : P.t) ~sbase ~cbase : (state -> unit) * int64 list =
       end
       else begin
         match op with
-        | Opcode.Gaload _ | Opcode.Gaload_unsafe _ ->
+        | Opcode.Gaload _ ->
           fb.(i) <- slot (d - 1);
           fdst.(i) <- slot (d - 1);
           (match take (i - 1) with

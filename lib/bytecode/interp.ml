@@ -50,7 +50,7 @@ let fault_to_string = function
   | Bad_random_bound { pc; bound } ->
     Printf.sprintf "pc %d: rand bound %Ld not positive" pc bound
   | Undersized_env_array { slot; length; min_len } ->
-    Printf.sprintf "env array slot %d has %d elements, proof requires >= %d" slot
+    Printf.sprintf "env array slot %d has %d elements, program requires >= %d" slot
       length min_len
 
 let pp_fault fmt f = Format.pp_print_string fmt (fault_to_string f)
@@ -220,15 +220,6 @@ let run ?scratch (p : Program.t) ~env ~now ~rng =
         let arr = env_array s in
         check_index arr i;
         arr.(i) <- v
-      | Opcode.Gaload_unsafe s ->
-        (* Bounds proved statically (verifier re-checks the proof and the
-           runtime enforces [a_min_len]), so skip [check_index]. *)
-        let i = Int64.to_int (pop ()) in
-        push (Array.unsafe_get (env_array s) i)
-      | Opcode.Gastore_unsafe s ->
-        let v = pop () in
-        let i = Int64.to_int (pop ()) in
-        Array.unsafe_set (env_array s) i v
       | Opcode.Galen s -> push (Int64.of_int (Array.length (env_array s)))
       | Opcode.Newarr -> push (alloc (Int64.to_int (pop ())))
       | Opcode.Aload ->

@@ -36,8 +36,8 @@ type fault =
   | Bad_random_bound of { pc : int; bound : int64 }
   | Undersized_env_array of { slot : int; length : int; min_len : int }
       (** Raised by the enclave before a run, not by the interpreter: the
-          environment broke an [a_min_len] promise a bounds proof relies
-          on, so the invocation is refused (fail-open). *)
+          environment broke the program's [a_min_len] contract, so the
+          invocation is refused (fail-open). *)
 
 val fault_to_string : fault -> string
 val pp_fault : Format.formatter -> fault -> unit

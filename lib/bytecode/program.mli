@@ -27,9 +27,10 @@ type array_slot = {
   a_access : access;
   a_min_len : int;
       (** Minimum length the runtime promises for this array (0 = no
-          promise).  Bounds proofs behind [Gaload_unsafe] /
-          [Gastore_unsafe] may rely on it; {!Interp.make_env} and the
-          enclave enforce it before every invocation. *)
+          promise), from the schema's [min_length].  A contract on the
+          state the controller supplies: {!Interp.make_env} and the
+          enclave enforce it before every invocation, refusing to run
+          against a shorter array. *)
 }
 (** Array slots are numbered by their position in [array_slots] and
     addressed by the [Ga*] op-codes. *)

@@ -252,9 +252,7 @@ let apply_packet_field_code (out : outputs) code v =
    - read-only array slots — and writable slots with no reachable store
      — alias the live array (the verifier guarantees the program cannot
      write through them);
-   - a written array slot of a program {!Wcet.fault_free} proved unable
-     to fault runs in place against the live array, eliding both blits;
-   - otherwise the slot gets a persistent scratch buffer: blit-in per
+   - a written array slot gets a persistent scratch buffer: blit-in per
      packet, blit-out only on success, preserving fault isolation.
 
    Plans cache aliases into the action's live arrays, so they watch
@@ -277,8 +275,7 @@ type scalar_out =
 
 type array_kind =
   | A_alias  (** Read-only (or never written): share the live array. *)
-  | A_inplace  (** Written but fault-free: run directly on the live array. *)
-  | A_scratch  (** Written, may fault: copy via a persistent scratch buffer. *)
+  | A_scratch  (** Written: copy via a persistent scratch buffer. *)
 
 type plan = {
   pl_prog : P.t;
@@ -357,21 +354,13 @@ let make_plan (p : P.t) sources =
   let written = Array.make (max 1 n_arrays) false in
   Array.iter
     (function
-      | Opcode.Gastore s | Opcode.Gastore_unsafe s -> written.(s) <- true
+      | Opcode.Gastore s -> written.(s) <- true
       | _ -> ())
     p.P.code;
-  let fault_free = lazy (Eden_bytecode.Wcet.fault_free p) in
-  let name_count name =
-    Array.fold_left
-      (fun acc (a : P.array_slot) -> if String.equal a.P.a_name name then acc + 1 else acc)
-      0 p.P.array_slots
-  in
   let pl_abind =
     Array.mapi
       (fun i (a : P.array_slot) ->
-        if a.P.a_access = P.Read_only || not written.(i) then A_alias
-        else if Lazy.force fault_free && name_count a.P.a_name = 1 then A_inplace
-        else A_scratch)
+        if a.P.a_access = P.Read_only || not written.(i) then A_alias else A_scratch)
       p.P.array_slots
   in
   let pl_scalars = Array.make n_scalars 0L in
@@ -391,7 +380,7 @@ let make_plan (p : P.t) sources =
 
 (* Re-alias live arrays (and resize scratch buffers) after the
    controller rebinds one via [set_global_array]; also re-check the
-   [a_min_len] promises the program's bounds proofs rely on. *)
+   program's [a_min_len] contract. *)
 let rebind_plan plan state =
   let v = State.array_version state in
   if plan.pl_version <> v then begin
@@ -402,7 +391,7 @@ let rebind_plan plan state =
         let live = State.global_array state a.P.a_name in
         plan.pl_live.(i) <- live;
         (match plan.pl_abind.(i) with
-        | A_alias | A_inplace -> plan.pl_arrays.(i) <- live
+        | A_alias -> plan.pl_arrays.(i) <- live
         | A_scratch ->
           if Array.length plan.pl_arrays.(i) <> Array.length live then
             plan.pl_arrays.(i) <- Array.make (Array.length live) 0L);
@@ -1116,7 +1105,7 @@ let marshal_in a plan pkt md msg_id ~now =
     | A_scratch ->
       let live = plan.pl_live.(i) in
       Array.blit live 0 plan.pl_arrays.(i) 0 (Array.length live)
-    | A_alias | A_inplace -> ()
+    | A_alias -> ()
   done
 
 (* Publish on success only: writable scalars the program stored, plus
@@ -1136,7 +1125,7 @@ let marshal_out a plan out msg_id ~now =
     | A_scratch ->
       let live = plan.pl_live.(i) in
       Array.blit plan.pl_arrays.(i) 0 live 0 (Array.length live)
-    | A_alias | A_inplace -> ()
+    | A_alias -> ()
   done
 
 let run_interpreted t a p scratch plan pkt md msg_id out ~now =
@@ -1148,23 +1137,16 @@ let run_interpreted t a p scratch plan pkt md msg_id out ~now =
     Cost.Accum.add_marshal t.e_cost t.e_cost_model;
     if t.e_timing then
       Tel.Histogram.observe t.h_marshal (int_of_float t.e_cost_model.Cost.marshal_ns);
-    match Interp.run ~scratch p ~env:plan.pl_env ~now ~rng:t.e_rng with
-    | Error (fault, stats) ->
-      Tel.Counter.add t.m_interp_steps stats.Interp.steps;
-      Cost.Accum.add_interp t.e_cost t.e_cost_model ~steps:stats.Interp.steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float
-             (float_of_int stats.Interp.steps *. t.e_cost_model.Cost.per_step_ns));
-      record_fault t a.a_name fault now
-    | Ok stats ->
-      Tel.Counter.add t.m_interp_steps stats.Interp.steps;
-      Cost.Accum.add_interp t.e_cost t.e_cost_model ~steps:stats.Interp.steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float
-             (float_of_int stats.Interp.steps *. t.e_cost_model.Cost.per_step_ns));
-      marshal_out a plan out msg_id ~now)
+    let result = Interp.run ~scratch p ~env:plan.pl_env ~now ~rng:t.e_rng in
+    let steps = match result with Ok s | Error (_, s) -> s.Interp.steps in
+    Tel.Counter.add t.m_interp_steps steps;
+    Cost.Accum.add_interp t.e_cost t.e_cost_model ~steps;
+    if t.e_timing then
+      Tel.Histogram.observe t.h_exec
+        (int_of_float (float_of_int steps *. t.e_cost_model.Cost.per_step_ns));
+    match result with
+    | Ok _ -> marshal_out a plan out msg_id ~now
+    | Error (fault, _) -> record_fault t a.a_name fault now)
 
 let run_compiled t a c plan pkt md msg_id out ~now =
   rebind_plan plan a.a_state;
@@ -1176,23 +1158,16 @@ let run_compiled t a c plan pkt md msg_id out ~now =
     if t.e_timing then
       Tel.Histogram.observe t.h_marshal (int_of_float t.e_cost_model.Cost.marshal_ns);
     Tel.Counter.inc t.m_compiled_invocations;
-    match Eden_bytecode.Compiled.exec c ~env:plan.pl_env ~now ~rng:t.e_rng with
-    | Some fault ->
-      let steps = Eden_bytecode.Compiled.last_steps c in
-      Tel.Counter.add t.m_interp_steps steps;
-      Cost.Accum.add_compiled t.e_cost t.e_cost_model ~steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float (float_of_int steps *. t.e_cost_model.Cost.compiled_step_ns));
-      record_fault t a.a_name fault now
-    | None ->
-      let steps = Eden_bytecode.Compiled.last_steps c in
-      Tel.Counter.add t.m_interp_steps steps;
-      Cost.Accum.add_compiled t.e_cost t.e_cost_model ~steps;
-      if t.e_timing then
-        Tel.Histogram.observe t.h_exec
-          (int_of_float (float_of_int steps *. t.e_cost_model.Cost.compiled_step_ns));
-      marshal_out a plan out msg_id ~now)
+    let fault = Eden_bytecode.Compiled.exec c ~env:plan.pl_env ~now ~rng:t.e_rng in
+    let steps = Eden_bytecode.Compiled.last_steps c in
+    Tel.Counter.add t.m_interp_steps steps;
+    Cost.Accum.add_compiled t.e_cost t.e_cost_model ~steps;
+    if t.e_timing then
+      Tel.Histogram.observe t.h_exec
+        (int_of_float (float_of_int steps *. t.e_cost_model.Cost.compiled_step_ns));
+    match fault with
+    | None -> marshal_out a plan out msg_id ~now
+    | Some fault -> record_fault t a.a_name fault now)
 
 let run_native t a f pkt md msg_id out ~now =
   Tel.Counter.inc t.m_native_invocations;

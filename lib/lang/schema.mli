@@ -24,8 +24,8 @@ type array_decl = {
   a_access : access;
   a_min_length : int option;
       (** Declared lower bound on the backing array's length.  Becomes the
-          program's [a_min_len] contract, which the enclave enforces, so
-          bounds analysis may rely on it. *)
+          program's [a_min_len] contract, which the enclave enforces
+          before every invocation. *)
   a_max_length : int option;
       (** Declared upper bound; only used to tighten static cost bounds on
           loops that walk the array. *)

@@ -574,10 +574,21 @@ let test_codec_bad_version () =
        let rec has i = i + 7 <= String.length m && (String.sub m i 7 = "version" || has (i+1)) in
        has 0)
   | Ok _ -> Alcotest.fail "bad version accepted");
-  (* Corrupt an opcode tag deep in the stream. *)
-  let bad2 = Bytes.of_string good in
-  Bytes.set bad2 (Bytes.length bad2 - 1) '\xEE';
-  check_bool "corrupt tail rejected" true (Result.is_error (Codec.decode (Bytes.to_string bad2)))
+  (* Corrupt the final opcode tag (the [Halt]): an out-of-range byte, and
+     38/39, the retired unchecked array-access tags, are all unknown. *)
+  List.iter
+    (fun tag ->
+      let bad2 = Bytes.of_string good in
+      Bytes.set bad2 (Bytes.length bad2 - 1) (Char.chr tag);
+      match Codec.decode (Bytes.to_string bad2) with
+      | Error e ->
+        check_bool
+          (Printf.sprintf "corrupt tail %d rejected as a bad tag" tag)
+          true
+          (Codec.error_to_string e
+           = Printf.sprintf "offset %d: bad opcode tag %d" (String.length good) tag)
+      | Ok _ -> Alcotest.failf "opcode tag %d accepted" tag)
+    [ 0xEE; 38; 39 ]
 
 let test_codec_decoded_runs_identically () =
   let p = sample_program () in

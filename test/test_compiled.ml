@@ -465,8 +465,8 @@ let test_cache_invalidation () =
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling: the ring keeps the most recent records, and array
-   writes of a faulting invocation are not published (scratch binding),
-   while a fault-free writer runs in place and publishes. *)
+   writes go through a scratch buffer that is published only when the
+   invocation succeeds. *)
 
 let array_slot name ~access ~min_len =
   { Program.a_name = name; a_entity = Program.Global; a_access = access; a_min_len = min_len }
@@ -482,11 +482,11 @@ let faulting_writer =
     ~array_slots:[| array_slot "A" ~access:Program.Read_write ~min_len:1 |]
     ()
 
-let inplace_writer =
-  (* provably fault-free constant-index store: runs in place on the live
-     array *)
-  Program.make ~name:"inplace"
-    ~code:[| Op.Push 0L; Op.Push 77L; Op.Gastore_unsafe 0; Op.Halt |]
+let succeeding_writer =
+  (* checked constant-index store that succeeds: blitted back to the
+     live array *)
+  Program.make ~name:"writer"
+    ~code:[| Op.Push 0L; Op.Push 77L; Op.Gastore 0; Op.Halt |]
     ~array_slots:[| array_slot "A" ~access:Program.Read_write ~min_len:1 |]
     ()
 
@@ -513,13 +513,13 @@ let test_fault_isolation_and_ring () =
   | [] -> Alcotest.fail "no fault records");
   check_bool "write did not escape the fault" true
     (Enclave.get_global_array e ~action:"faulty" "A" = Some [| 5L |]);
-  (* The fault-free writer publishes in place. *)
+  (* A successful writer's store is published. *)
   let e2 = Enclave.create ~host:1 () in
-  ignore (install_prog e2 "inplace" inplace_writer);
+  ignore (install_prog e2 "writer" succeeding_writer);
   ignore (priority_of e2 0);
   check_int "no faults" 0 (Enclave.counters e2).Enclave.faults;
-  check_bool "in-place write published" true
-    (Enclave.get_global_array e2 ~action:"inplace" "A" = Some [| 77L |])
+  check_bool "successful write published" true
+    (Enclave.get_global_array e2 ~action:"writer" "A" = Some [| 77L |])
 
 let engine_suites =
   [

@@ -73,7 +73,12 @@ let test_eval_matches_paper_function () =
 (* Differential property: eval vs compile+interpret *)
 
 (* Random programs over: packet.Size (ro), packet.Priority (rw),
-   msg.A/msg.B (rw), global.C (rw), global array Tbl (rw, length 4). *)
+   msg.A/msg.B (rw), global.C (rw), global array Tbl (rw, length 4).
+   [int_expr] and [stmt] take the random state explicitly so that
+   only the branch [frequency] picks is built: constructing every
+   alternative's sub-generator up front costs time exponential in the
+   size.  Building a generator consumes no randomness, so this yields the
+   same programs per seed as the eager form. *)
 let gen_program =
   let open QCheck.Gen in
   let lit = map (fun v -> Ast.Int (Int64.of_int (v - 500))) (int_range 0 1000) in
@@ -81,36 +86,37 @@ let gen_program =
     [ Ast.Field (Ast.Packet, "Size"); Ast.Field (Ast.Message, "A");
       Ast.Field (Ast.Message, "B"); Ast.Field (Ast.Global, "C") ]
   in
-  let rec int_expr n =
-    if n <= 0 then oneof [ lit; oneofl scalar_reads ]
-    else
-      frequency
-        [
-          (2, lit);
-          (2, oneofl scalar_reads);
-          ( 4,
-            let* op =
-              oneofl
-                [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Rem; Ast.Band; Ast.Bor;
-                  Ast.Bxor; Ast.Shl; Ast.Shr ]
-            in
-            let* a = int_expr (n / 2) in
-            let* b = int_expr (n / 2) in
-            return (Ast.Binop (op, a, b)) );
-          (1, map (fun e -> Ast.Unop (Ast.Neg, e)) (int_expr (n - 1)));
-          ( 1,
-            let* i = int_expr (n / 2) in
-            return (Ast.Arr_get (Ast.Global, "Tbl", Ast.Binop (Ast.Rem, i, Ast.Int 4L))) );
-          ( 1,
-            let* a = int_expr (n / 2) in
-            let* b = int_expr (n / 2) in
-            return (Ast.Hash (a, b)) );
-          ( 1,
-            let* c = cond (n / 2) in
-            let* a = int_expr (n / 2) in
-            let* b = int_expr (n / 2) in
-            return (Ast.If (c, a, b)) );
-        ]
+  let rec int_expr n st =
+    (if n <= 0 then oneof [ lit; oneofl scalar_reads ]
+     else
+       frequency
+         [
+           (2, lit);
+           (2, oneofl scalar_reads);
+           ( 4,
+             let* op =
+               oneofl
+                 [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Rem; Ast.Band; Ast.Bor;
+                   Ast.Bxor; Ast.Shl; Ast.Shr ]
+             in
+             let* a = int_expr (n / 2) in
+             let* b = int_expr (n / 2) in
+             return (Ast.Binop (op, a, b)) );
+           (1, map (fun e -> Ast.Unop (Ast.Neg, e)) (int_expr (n - 1)));
+           ( 1,
+             let* i = int_expr (n / 2) in
+             return (Ast.Arr_get (Ast.Global, "Tbl", Ast.Binop (Ast.Rem, i, Ast.Int 4L))) );
+           ( 1,
+             let* a = int_expr (n / 2) in
+             let* b = int_expr (n / 2) in
+             return (Ast.Hash (a, b)) );
+           ( 1,
+             let* c = cond (n / 2) in
+             let* a = int_expr (n / 2) in
+             let* b = int_expr (n / 2) in
+             return (Ast.If (c, a, b)) );
+         ])
+      st
   and cond n =
     let* op = oneofl [ Ast.Lt; Ast.Le; Ast.Eq; Ast.Ne; Ast.Gt; Ast.Ge ] in
     let* a = int_expr (n / 2) in
@@ -130,26 +136,27 @@ let gen_program =
             (Ast.Arr_set (Ast.Global, "Tbl", Ast.Binop (Ast.Rem, i, Ast.Int 4L), v)) );
       ]
   in
-  let rec stmt n =
-    if n <= 0 then stmt_leaf 0
-    else
-      frequency
-        [
-          (4, stmt_leaf n);
-          ( 2,
-            let* c = cond (n / 2) in
-            let* a = stmt (n / 2) in
-            let* b = stmt (n / 2) in
-            return (Ast.If (c, a, b)) );
-          ( 2,
-            let* a = stmt (n / 2) in
-            let* b = stmt (n / 2) in
-            return (Ast.Seq (a, b)) );
-          ( 1,
-            let* rhs = int_expr (n / 2) in
-            let* body = stmt (n / 2) in
-            return (Ast.Let { name = "v"; mutable_ = false; rhs; body }) );
-        ]
+  let rec stmt n st =
+    (if n <= 0 then stmt_leaf 0
+     else
+       frequency
+         [
+           (4, stmt_leaf n);
+           ( 2,
+             let* c = cond (n / 2) in
+             let* a = stmt (n / 2) in
+             let* b = stmt (n / 2) in
+             return (Ast.If (c, a, b)) );
+           ( 2,
+             let* a = stmt (n / 2) in
+             let* b = stmt (n / 2) in
+             return (Ast.Seq (a, b)) );
+           ( 1,
+             let* rhs = int_expr (n / 2) in
+             let* body = stmt (n / 2) in
+             return (Ast.Let { name = "v"; mutable_ = false; rhs; body }) );
+         ])
+      st
   in
   sized (fun n -> stmt (min n 24))
 
